@@ -267,18 +267,6 @@ def miwa_second_residual(table: TauTable, base, k: int, ell: int, i: int, j: int
     )
 
 
-def miwa_residuals(table: TauTable, base, indices) -> tuple[LaurentPoly, LaurentPoly]:
-    """Both six-point residuals at one index choice (k, ell, i, j).
-
-    The first identity depends only on (base, i); the second on all four.
-    """
-    k, ell, i, j = indices
-    return (
-        miwa_first_residual(table, base, i),
-        miwa_second_residual(table, base, k, ell, i, j),
-    )
-
-
 # ---------------------------------------------------------------------------
 # sigma functions and the quadratic second-order residual
 # ---------------------------------------------------------------------------
@@ -347,6 +335,18 @@ def jmo_residual(s: SigmaFn) -> RationalFunction:
 # sigma-level relation for a move
 # ---------------------------------------------------------------------------
 
+def sigma_move_terms(s_a: SigmaFn, s_ik: SigmaFn, m: MoveIJK) -> tuple[UniPoly, RationalFunction]:
+    """G and K = sa - sik + H of the sigma-level relation for move m at s_a.point.
+
+    Raises DegenerateK when K vanishes, since the relation divides by it.
+    """
+    G, H = big_GH(s_a.point, m)
+    K = s_a.sigma - s_ik.sigma + RationalFunction(H)
+    if K.is_zero():
+        raise DegenerateK(f"K vanishes for move {m} at {s_a.point}")
+    return G, K
+
+
 def sigma_backlund_residual(s_a: SigmaFn, s_ik: SigmaFn, s_ij: SigmaFn,
                             s_jk: SigmaFn, m: MoveIJK) -> RationalFunction:
     """Denominator-free residual of the sigma-level relation:
@@ -366,10 +366,7 @@ def sigma_backlund_residual(s_a: SigmaFn, s_ik: SigmaFn, s_ij: SigmaFn,
             raise ConfigurationMismatch(
                 f"sigma at {s.point} does not sit at {point} for move {m}"
             )
-    G, H = big_GH(base, m)
-    K = s_a.sigma - s_ik.sigma + RationalFunction(H)
-    if K.is_zero():
-        raise DegenerateK(f"K vanishes for move {m} at {base}")
+    G, K = sigma_move_terms(s_a, s_ik, m)
     t = UniPoly.t()
     lhs = s_ij.sigma + s_jk.sigma - s_ik.sigma - s_a.sigma - RationalFunction(G)
     return lhs * K - RationalFunction(t * (t - 1)) * K.derivative()

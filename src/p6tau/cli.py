@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 from .backlund import ZeroTau, calibrate_eps, sigma_of, v_of_point, via_params
 from .f4 import a5_to_f4, short_sets, simple_roots_check, toda_gamma_table
-from .grassmann import FrameMatrix, SingularFrame, TauTable
+from .grassmann import (FrameMatrix, GaugeDependence, HomogeneityViolation, MissingTau,
+                        SingularFrame, TauTable)
 from .lattice import LatticePoint
 from .suites import SUITES, run_suites
 
@@ -97,6 +98,9 @@ def _dump_csv(table: TauTable, path: str | None) -> None:
 def load_table(path: str) -> TauTable:
     with open(path) as fh:
         payload = json.load(fh)
+    for key in ("frame", "entries"):
+        if not isinstance(payload, dict) or key not in payload:
+            raise ValueError(f"{path}: table has no {key!r} field")
     frame = FrameMatrix.from_json(payload["frame"])
     return TauTable.from_json(payload["entries"], frame=frame, radius=payload.get("radius"))
 
@@ -249,7 +253,8 @@ def main(argv=None) -> int:
             return cmd_map_f4(_parse_point(args.point), args.report, args.out)
         if args.command == "calibrate-eps":
             return cmd_calibrate_eps(args.table, args.out)
-    except (SingularFrame, UnknownPoint, ZeroTau, ValueError) as exc:
+    except (SingularFrame, UnknownPoint, ZeroTau, ValueError, OSError, GaugeDependence,
+            HomogeneityViolation, MissingTau) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -698,17 +698,3 @@ class TriPoly:
     def __repr__(self):
         items = ", ".join(f"{k}: {str(v)!r}" for k, v in sorted(self.terms.items()))
         return f"TriPoly({{{items}}})"
-
-
-# ---------------------------------------------------------------------------
-# free-function surface (mirrors the operation names used by callers)
-# ---------------------------------------------------------------------------
-
-def derivative(p):
-    """Formal d/dt for UniPoly, LaurentPoly and RationalFunction alike."""
-    return p.derivative()
-
-
-def exact_divide(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact Laurent quotient a/b; NotDivisible when the remainder is nonzero."""
-    return a.exact_divide(b)

@@ -3,30 +3,26 @@
 Lattice points map linearly onto 5-vectors (v0, v1..v4) whose last four
 entries are all integers or all half-odd-integers; the images of the moves
 d_i - d_j (j <= 3) are, up to translations by e0, the short roots.  The
-executable content: the simple-root dictionary, the three short-root sets
-with their validation, single sigma steps and Toda steps driven from the
-A5-side engine, and the symmetry actions (parameter permutations with even
-sign flips, and the frame/time relabelings inducing Moebius maps of t).
+executable content: the simple-root dictionary, the three short-root sets,
+single sigma steps (each the sigma-level relation of one move) and Toda
+steps driven from the A5-side engine, and the symmetry actions (parameter
+permutations with even sign flips, and the frame/time relabelings inducing
+Moebius maps of t).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .backlund import SigmaFn, VQuad, big_GH, toda_product
+from .backlund import SigmaFn, VQuad, sigma_move_terms, toda_product
 from .exactalg import RationalFunction, UniPoly, as_scalar
 from .grassmann import TauT, TauTable
-from .lattice import E0_VECTOR, LatticePoint, MoveIJK, move_vector, r_weight
+from .lattice import LatticePoint, MoveIJK, move_vector, r_weight
 
 
 class OddSignCount(ValueError):
     """A parameter symmetry was requested with an odd number of sign flips."""
-
-
-class ValidationFailure(AssertionError):
-    """A short-root set failed its defining checks."""
 
 
 class MissingPreimage(KeyError):
@@ -87,47 +83,20 @@ def a5_to_f4(p: LatticePoint) -> F4Vector:
     )
 
 
-def e0_in_a5() -> LatticePoint:
-    """The preimage (1,1,1,-1,-1,-1) of the null direction e0."""
-    return E0_VECTOR
-
-
+HALF = Fraction(1, 2)
 E0_F4 = F4Vector(1, (0, 0, 0, 0))
-
-
-def basis_e(k: int) -> F4Vector:
-    """e_k for k = 0..4."""
-    if k == 0:
-        return E0_F4
-    return F4Vector(0, tuple(Fraction(1 if i == k else 0) for i in range(1, 5)))
 
 
 # ---------------------------------------------------------------------------
 # simple roots and short-root sets
 # ---------------------------------------------------------------------------
 
-def _comb(*terms) -> F4Vector:
-    """Linear combination of (coefficient, e-index) pairs."""
-    v0 = Fraction(0)
-    v = [Fraction(0)] * 4
-    for coeff, k in terms:
-        c = as_scalar(coeff)
-        e = basis_e(k)
-        v0 += c * e.v0
-        for i in range(4):
-            v[i] += c * e.v[i]
-    return F4Vector(int(v0), tuple(v))
-
-
 SIMPLE_ROOT_TABLE: tuple[tuple[F4Vector, LatticePoint], ...] = (
-    (_comb((1, 0), (-1, 1), (-1, 2)), LatticePoint((1, 3, 1, -2, -2, -1))),
-    (_comb((1, 2), (-1, 3)), LatticePoint((0, 0, 0, 0, 1, -1))),
-    (_comb((1, 3), (-1, 4)), LatticePoint((0, 0, 2, -1, -1, 0))),
-    (_comb((1, 4)), LatticePoint((0, -1, -2, 1, 1, 1))),
-    (
-        _comb((Fraction(1, 2), 1), (Fraction(-1, 2), 2), (Fraction(-1, 2), 3), (Fraction(-1, 2), 4)),
-        LatticePoint((0, 1, 1, 0, -1, -1)),
-    ),
+    (F4Vector(1, (-1, -1, 0, 0)), LatticePoint((1, 3, 1, -2, -2, -1))),      # e0 - e1 - e2
+    (F4Vector(0, (0, 1, -1, 0)), LatticePoint((0, 0, 0, 0, 1, -1))),         # e2 - e3
+    (F4Vector(0, (0, 0, 1, -1)), LatticePoint((0, 0, 2, -1, -1, 0))),        # e3 - e4
+    (F4Vector(0, (0, 0, 0, 1)), LatticePoint((0, -1, -2, 1, 1, 1))),         # e4
+    (F4Vector(0, (HALF, -HALF, -HALF, -HALF)), LatticePoint((0, 1, 1, 0, -1, -1))),
 )
 
 
@@ -161,37 +130,13 @@ def short_sets() -> tuple[ShortRootSet, ShortRootSet, ShortRootSet]:
 
     S_j collects the five images of d_i - d_j (i != j); S1 is listed with the
     opposite overall sign (images of d_1 - d_i), matching how the union of
-    +-S_j covers all short roots.  Each element is validated to have squared
-    length 1 after dropping the null component and to be the image of a move,
-    up to a translation by e0.
+    +-S_j covers all short roots.
     """
     sets = []
     for label, orient in ((1, -1), (2, 1), (3, 1)):
-        elems = []
-        pres = []
-        for i in range(1, 7):
-            if i == label:
-                continue
-            move = move_vector(i, label) if orient == 1 else move_vector(label, i)
-            pres.append(move)
-            elems.append(a5_to_f4(move))
-        sets.append(ShortRootSet(label, tuple(elems), tuple(pres)))
-    for s in sets:
-        for vec, pre in zip(s.elements, s.preimages):
-            if vec.finite_norm() != 1:
-                raise ValidationFailure(f"{vec} in S{s.label} is not short")
-            stripped = F4Vector(0, vec.v)
-            matched = False
-            for i, j in itertools.permutations(range(1, 7), 2):
-                if j > 3:
-                    continue
-                img = a5_to_f4(move_vector(i, j))
-                for sign in (1, -1):
-                    cand = img if sign == 1 else -img
-                    if F4Vector(0, cand.v) == stripped and (cand.v0 - vec.v0) == 0:
-                        matched = True
-            if not matched:
-                raise ValidationFailure(f"{vec} is not a move image up to e0 shifts")
+        pres = tuple(move_vector(i, label) if orient == 1 else move_vector(label, i)
+                     for i in range(1, 7) if i != label)
+        sets.append(ShortRootSet(label, tuple(a5_to_f4(p) for p in pres), pres))
     return tuple(sets)
 
 
@@ -199,95 +144,22 @@ def short_sets() -> tuple[ShortRootSet, ShortRootSet, ShortRootSet]:
 # propositions as executable steps
 # ---------------------------------------------------------------------------
 
-def _find_move_labels(base: LatticePoint, p_ik: LatticePoint, p_ij: LatticePoint,
-                      p_jk: LatticePoint) -> MoveIJK:
-    """Recover (i, j, k) from the four points of a move configuration."""
-    d_ij = tuple(a - b for a, b in zip(p_ij.alpha, base.alpha))
-    d_jk = tuple(a - b for a, b in zip(p_jk.alpha, base.alpha))
-    try:
-        i = d_ij.index(1) + 1
-        j = d_ij.index(-1) + 1
-        j2 = d_jk.index(1) + 1
-        k = d_jk.index(-1) + 1
-    except ValueError as exc:
-        raise MissingPreimage(f"points around {base} are not a move square") from exc
-    if j != j2 or sorted(d_ij, reverse=True) != [1, 0, 0, 0, 0, -1]:
-        raise MissingPreimage(f"points around {base} are not a move square")
-    move = MoveIJK(i, j, k)
-    if p_ik != base + move_vector(i, k):
-        raise MissingPreimage(f"points around {base} are not a move square")
-    return move
+def sigma_step(s_a: SigmaFn, s_ik: SigmaFn, s_known: SigmaFn, m: MoveIJK) -> SigmaFn:
+    """Sigma at one of the ij/jk corners of move m at s_a.point, from the other three.
 
-
-def sigma_step(known: tuple[SigmaFn, SigmaFn, SigmaFn], j: int,
-               gamma1: F4Vector, gamma2: F4Vector,
-               gamma1_pre: LatticePoint, gamma2_pre: LatticePoint) -> SigmaFn:
-    """Produce the fourth sigma of a short-root step from the three known ones.
-
-    `known` holds sigma at beta, beta + gamma1 - gamma2, and either
-    beta - gamma2 (then sigma at beta + gamma1 is computed) or beta + gamma1
-    (then beta - gamma2 is computed); gamma1, gamma2 are drawn from the same
-    S_j, and their 6-index preimages fix the move square the relation is
-    solved on.
+    A short-root step along (gamma1, gamma2) in S_j is the sigma-level
+    relation of the move (i, j, k) with d_i - d_k = pre(gamma1) - pre(gamma2):
+    sigma_ij + sigma_jk = sigma_a + sigma_ik + G + t(t-1) K'/K.  s_known sits
+    at the ij or the jk corner, and sigma at the other corner is returned.
     """
-    s_beta, s_mid, s_third = known
-    sets = short_sets()
-    s_j = sets[j - 1]
-    for gamma, pre in ((gamma1, gamma1_pre), (gamma2, gamma2_pre)):
-        if gamma not in s_j.elements:
-            raise ValueError(f"{gamma} does not lie in S{j}")
-        if a5_to_f4(pre) != gamma:
-            raise MissingPreimage(f"{pre} is not a preimage of {gamma}")
-    expect_mid = s_beta.point + gamma1_pre - gamma2_pre
-    if s_mid.point != expect_mid:
-        raise MissingPreimage("second sigma does not sit at beta+g1-g2")
-    if s_third.point == s_beta.point - gamma2_pre:
-        target_point = s_beta.point + gamma1_pre
-    elif s_third.point == s_beta.point + gamma1_pre:
-        target_point = s_beta.point - gamma2_pre
-    else:
-        raise MissingPreimage("third sigma sits at neither beta-g2 nor beta+g1")
-    points = {
-        s_beta.point: s_beta,
-        s_mid.point: s_mid,
-        s_third.point: s_third,
-    }
-    # locate the move square among the four points
-    quad = [s_beta.point, expect_mid,
-            s_beta.point + gamma1_pre, s_beta.point - gamma2_pre]
-    for base, ik in itertools.permutations(quad, 2):
-        diff = tuple(a - b for a, b in zip(ik.alpha, base.alpha))
-        if sorted(diff, reverse=True) != [1, 0, 0, 0, 0, -1]:
-            continue
-        rest = [q for q in quad if q not in (base, ik)]
-        for p_ij, p_jk in itertools.permutations(rest, 2):
-            try:
-                move = _find_move_labels(base, ik, p_ij, p_jk)
-            except MissingPreimage:
-                continue
-            if move.j != j:
-                continue
-            if base not in points or ik not in points:
-                continue
-            known_of = {pt: points[pt] for pt in (base, ik) if pt in points}
-            unknown_slot = "ij" if p_ij == target_point else ("jk" if p_jk == target_point else None)
-            if unknown_slot is None:
-                continue
-            other = p_jk if unknown_slot == "ij" else p_ij
-            if other not in points:
-                continue
-            return _solve_sigma(points[base], points[ik], points[other], move, target_point)
-    raise MissingPreimage("no move square fits the step")
-
-
-def _solve_sigma(s_a: SigmaFn, s_ik: SigmaFn, s_known: SigmaFn, m: MoveIJK,
-                 target: LatticePoint) -> SigmaFn:
-    from .backlund import DegenerateK
-
-    G, H = big_GH(s_a.point, m)
-    K = s_a.sigma - s_ik.sigma + RationalFunction(H)
-    if K.is_zero():
-        raise DegenerateK(f"K vanishes for move {m} at {s_a.point}")
+    base = s_a.point
+    p_ij, p_jk = base + move_vector(m.i, m.j), base + move_vector(m.j, m.k)
+    if s_ik.point != base + move_vector(m.i, m.k):
+        raise MissingPreimage(f"{s_ik.point} is not the ik corner of {m} at {base}")
+    if s_known.point not in (p_ij, p_jk):
+        raise MissingPreimage(f"{s_known.point} is no ij/jk corner of {m} at {base}")
+    target = p_jk if s_known.point == p_ij else p_ij
+    G, K = sigma_move_terms(s_a, s_ik, m)
     t = UniPoly.t()
     log_term = RationalFunction(t * (t - 1)) * K.derivative() / K
     total = s_a.sigma + s_ik.sigma + RationalFunction(G) + log_term

@@ -136,11 +136,6 @@ class FrameMatrix:
         return cls(data)
 
 
-def dual_basis(frame: FrameMatrix) -> FrameMatrix:
-    """Frame whose rows are the duals of the input rows (pairing = identity)."""
-    return FrameMatrix(frame.dual)
-
-
 # ---------------------------------------------------------------------------
 # sign machinery
 # ---------------------------------------------------------------------------
@@ -583,8 +578,15 @@ class TauTable:
     @classmethod
     def from_json(cls, entries: Iterable[Mapping], frame: FrameMatrix | None = None,
                   radius: int | None = None) -> "TauTable":
+        """Table from serialized entries; a repeated point or a stored weight
+        other than r_weight(point) raises ValueError."""
         table = cls(frame, radius=radius)
         for item in entries:
             tau = TauT.from_json(item)
+            if tau.point in table.entries:
+                raise ValueError(f"point {tau.point} occurs twice in the table")
+            if tau.weight != r_weight(tau.point):
+                raise ValueError(f"point {tau.point} stores weight {tau.weight},"
+                                 f" expected {r_weight(tau.point)}")
             table.entries[tau.point] = tau
         return table

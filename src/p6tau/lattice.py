@@ -11,6 +11,7 @@ G/H, the charge-ordering sign, and the distinguished translation by
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -221,16 +222,11 @@ def ball(radius: int) -> list[LatticePoint]:
     return points
 
 
-def mu_values(points) -> list[tuple[int, int, int]]:
-    """Distinct mu parts of a collection of points, sorted."""
-    return sorted({p.mu for p in points})
-
-
 def charges_with_weight_at_least_zero(mu: tuple[int, int, int]):
     """All charge triples c with sum(c) = -sum(mu) and R(mu, c) >= 0."""
     target = -sum(mu)
     cap = mu[0] ** 2 + mu[1] ** 2 + mu[2] ** 2
-    bound = int(cap ** 0.5) + 1
+    bound = math.isqrt(cap) + 1
     out = []
     for c1, c2 in itertools.product(range(-bound, bound + 1), repeat=2):
         c3 = target - c1 - c2

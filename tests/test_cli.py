@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from p6tau.cli import main
-from p6tau.grassmann import TauTable
+from p6tau.grassmann import GaugeDependence, HomogeneityViolation, MissingTau, TauTable
 from p6tau.lattice import LatticePoint
 from p6tau.suites import perturb_table
 from p6tau import cli
@@ -140,3 +141,52 @@ def test_calibrate_eps_command(table_file, tmp_path):
     eps = json.loads(out.read_text())
     assert len(eps) == 60
     assert eps["1,2,3"] == 1 and eps["1,3,2"] == -1
+
+
+def test_verify_missing_table_file(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["verify", "--table", str(missing)]) == 2
+    assert "missing.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["entries", "frame"])
+def test_table_without_field_rejected(table_file, tmp_path, capsys, key):
+    payload = json.loads(table_file.read_text())
+    del payload[key]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["verify", "--table", str(bad), "--suites", "toda"]) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_table_with_duplicate_point_rejected(table_file, tmp_path, capsys):
+    payload = json.loads(table_file.read_text())
+    payload["entries"].append(payload["entries"][0])
+    bad = tmp_path / "dup.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["verify", "--table", str(bad), "--suites", "toda"]) == 2
+    assert "twice" in capsys.readouterr().err
+
+
+def test_table_with_wrong_weight_rejected(table_file, tmp_path, capsys):
+    payload = json.loads(table_file.read_text())
+    payload["entries"][0]["weight"] += 1
+    bad = tmp_path / "weight.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["verify", "--table", str(bad), "--suites", "toda"]) == 2
+    assert "weight" in capsys.readouterr().err
+
+
+def test_committed_benchmark_table_loads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "vandermonde_r2.json"
+    assert len(cli.load_table(str(path))) == 271
+
+
+@pytest.mark.parametrize("exc", [GaugeDependence, HomogeneityViolation, MissingTau])
+def test_core_errors_exit_two(tmp_path, capsys, monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc("sector (0, 0, 0) is broken")
+
+    monkeypatch.setattr(cli.TauTable, "build", fail)
+    assert main(["gen", "--radius", "1", "--out", str(tmp_path / "x.json")]) == 2
+    assert "sector (0, 0, 0) is broken" in capsys.readouterr().err

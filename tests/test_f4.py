@@ -1,9 +1,8 @@
-import itertools
 from fractions import Fraction
 
 import pytest
 
-from p6tau.backlund import VQuad, sigma_of
+from p6tau.backlund import DegenerateK, VQuad, iter_move_configurations, sigma_of
 from p6tau.f4 import (
     E0_F4,
     F4Vector,
@@ -11,10 +10,8 @@ from p6tau.f4 import (
     OddSignCount,
     TODA_GAMMAS,
     a5_to_f4,
-    basis_e,
     component_permute,
     d4_action,
-    e0_in_a5,
     short_sets,
     sigma_step,
     simple_roots_check,
@@ -22,10 +19,14 @@ from p6tau.f4 import (
     toda_step_f4,
 )
 from p6tau.grassmann import MissingTau
-from p6tau.lattice import LatticePoint, ball, e0_translate, move_vector
+from p6tau.lattice import E0_VECTOR, LatticePoint, MoveIJK, ball, e0_translate, move_vector
 
 ORIGIN = LatticePoint((0, 0, 0, 0, 0, 0))
 HALF = Fraction(1, 2)
+E1 = F4Vector(0, (1, 0, 0, 0))
+E2 = F4Vector(0, (0, 1, 0, 0))
+E3 = F4Vector(0, (0, 0, 1, 0))
+E4 = F4Vector(0, (0, 0, 0, 1))
 
 
 def test_membership_rule_enforced():
@@ -39,16 +40,16 @@ def test_membership_rule_enforced():
 
 def test_a5_to_f4_examples():
     assert a5_to_f4(ORIGIN) == F4Vector(0, (0, 0, 0, 0))
-    assert a5_to_f4(move_vector(5, 6)) == basis_e(2) - basis_e(3)
+    assert a5_to_f4(move_vector(5, 6)) == E2 - E3
     p = LatticePoint((0, 1, 1, 0, -1, -1))
     assert a5_to_f4(p) == F4Vector(0, (HALF, -HALF, -HALF, -HALF))
 
 
 def test_e0_identities():
-    assert a5_to_f4(e0_in_a5()) == E0_F4
+    assert a5_to_f4(E0_VECTOR) == E0_F4
     from p6tau.lattice import r_weight
 
-    assert r_weight(e0_in_a5()) == 0
+    assert r_weight(E0_VECTOR) == 0
     for p in ball(1)[::4]:
         q, _ = e0_translate(p)
         assert a5_to_f4(q) == a5_to_f4(p) + E0_F4
@@ -77,50 +78,64 @@ def test_short_sets_contents():
         assert len(s.elements) == 5
         for vec in s.elements:
             assert vec.finite_norm() == 1
-    for k in (1, 2, 3):
-        assert basis_e(k) in s2.elements
-    assert E0_F4 + basis_e(4) in s3.elements
+    for e in (E1, E2, E3):
+        assert e in s2.elements
+    assert E0_F4 + E4 in s3.elements
     half_combo = F4Vector(0, (-HALF, -HALF, -HALF, HALF))
     assert half_combo in s3.elements
-    assert E0_F4 + basis_e(4) in s1.elements
+    assert E0_F4 + E4 in s1.elements
     assert E0_F4 + F4Vector(0, (HALF, HALF, HALF, HALF)) in s1.elements
 
 
+def _nonzero_squares(table, m):
+    for taus in iter_move_configurations(table, m):
+        if not any(t.is_zero() for t in taus):
+            yield tuple(sigma_of(t) for t in taus)
+
+
+def _short_root_move(j, a, b):
+    """The move of a step along (g1, g2) in S_j whose preimages are d_a - d_j
+    and d_b - d_j (in S1: d_1 - d_a and d_1 - d_b): d_i - d_k = pre(g1) - pre(g2)."""
+    s_j = short_sets()[j - 1]
+    pre = dict(zip((i for i in range(1, 7) if i != j), s_j.preimages))
+    diff = pre[a] - pre[b]
+    i, k = diff.alpha.index(1) + 1, diff.alpha.index(-1) + 1
+    return MoveIJK(i, j, k)
+
+
+def test_short_root_pairs_are_moves():
+    moves = {_short_root_move(j, a, b)
+             for j in (1, 2, 3) for a in range(1, 7) for b in range(1, 7)
+             if len({j, a, b}) == 3}
+    assert len(moves) == 60
+    assert _short_root_move(2, 1, 4) == MoveIJK(1, 2, 4)
+    assert _short_root_move(1, 2, 4) == MoveIJK(4, 1, 2)
+
+
 def test_sigma_step_round_trip(table2):
-    s2 = short_sets()[1]
-    combos = list(zip(s2.elements, s2.preimages))
     done = 0
-    for (g1, p1), (g2, p2) in itertools.permutations(combos, 2):
-        for p in table2.points()[::11]:
+    for j, a, b in ((2, 1, 4), (2, 5, 3), (1, 2, 4), (3, 6, 1)):
+        m = _short_root_move(j, a, b)
+        for s_a, s_ik, s_ij, s_jk in list(_nonzero_squares(table2, m))[::11]:
             try:
-                t_b = table2.get(p)
-                t_mid = table2.get(p + p1 - p2)
-                t_minus = table2.get(p - p2)
-                t_target = table2.get(p + p1)
-            except MissingTau:
+                got = sigma_step(s_a, s_ik, s_ij, m)
+            except DegenerateK:
                 continue
-            if any(t.is_zero() for t in (t_b, t_mid, t_minus, t_target)):
-                continue
-            got = sigma_step(
-                (sigma_of(t_b), sigma_of(t_mid), sigma_of(t_minus)),
-                2, g1, g2, p1, p2,
-            )
-            assert got.point == p + p1
-            assert got.sigma == sigma_of(t_target).sigma
+            assert got.point == s_jk.point
+            assert got.sigma == s_jk.sigma
             done += 1
-            if done > 10:
-                return
-    assert done > 0
+    assert done > 4
 
 
-def test_sigma_step_rejects_mixed_sets(table2):
-    s1, s2, _ = short_sets()
-    g1, p1 = s1.elements[0], s1.preimages[0]
-    g2, p2 = s2.elements[0], s2.preimages[0]
-    t = table2.get(ORIGIN)
-    s = sigma_of(t)
-    with pytest.raises((ValueError, MissingPreimage)):
-        sigma_step((s, s, s), 1, g1, g2, p1, p2)
+def test_sigma_step_rejects_points_off_the_move(table2):
+    m = MoveIJK(1, 2, 4)
+    s_a, s_ik, s_ij, s_jk = next(_nonzero_squares(table2, m))
+    with pytest.raises(MissingPreimage):
+        sigma_step(s_a, s_ik, s_a, m)
+    with pytest.raises(MissingPreimage):
+        sigma_step(s_a, s_ij, s_jk, m)
+    with pytest.raises(MissingPreimage):
+        sigma_step(s_a, s_ik, s_ij, MoveIJK(1, 3, 4))
 
 
 def test_toda_gamma_table_covers_three_lines():
@@ -132,7 +147,7 @@ def test_toda_gamma_table_covers_three_lines():
     gammas = {tuple(vec.to_json()) for vec, _ in TODA_GAMMAS}
     assert tuple((E0_F4 + F4Vector(0, (HALF, HALF, HALF, HALF))).to_json()) in gammas
     assert tuple(F4Vector(0, (HALF, HALF, HALF, -HALF)).to_json()) in gammas
-    assert tuple((E0_F4 + basis_e(4)).to_json()) in gammas
+    assert tuple((E0_F4 + E4).to_json()) in gammas
 
 
 def test_toda_step_round_trip(table2):
@@ -188,24 +203,13 @@ def test_component_permute_identity_and_signs(table1):
 
 
 def test_sigma_step_reverse_direction(table2):
-    s2 = short_sets()[1]
-    combos = list(zip(s2.elements, s2.preimages))
-    for (g1, p1), (g2, p2) in itertools.permutations(combos, 2):
-        for p in table2.points()[::13]:
-            try:
-                t_b = table2.get(p)
-                t_mid = table2.get(p + p1 - p2)
-                t_plus = table2.get(p + p1)
-                t_minus = table2.get(p - p2)
-            except MissingTau:
-                continue
-            if any(t.is_zero() for t in (t_b, t_mid, t_plus, t_minus)):
-                continue
-            got = sigma_step(
-                (sigma_of(t_b), sigma_of(t_mid), sigma_of(t_plus)),
-                2, g1, g2, p1, p2,
-            )
-            assert got.point == p - p2
-            assert got.sigma == sigma_of(t_minus).sigma
-            return
+    m = MoveIJK(5, 3, 2)
+    for s_a, s_ik, s_ij, s_jk in _nonzero_squares(table2, m):
+        try:
+            got = sigma_step(s_a, s_ik, s_jk, m)
+        except DegenerateK:
+            continue
+        assert got.point == s_ij.point
+        assert got.sigma == s_ij.sigma
+        return
     raise AssertionError("no configuration found")
