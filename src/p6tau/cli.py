@@ -96,13 +96,19 @@ def _dump_csv(table: TauTable, path: str | None) -> None:
 
 
 def load_table(path: str) -> TauTable:
-    with open(path) as fh:
-        payload = json.load(fh)
-    for key in ("frame", "entries"):
-        if not isinstance(payload, dict) or key not in payload:
-            raise ValueError(f"{path}: table has no {key!r} field")
-    frame = FrameMatrix.from_json(payload["frame"])
-    return TauTable.from_json(payload["entries"], frame=frame, radius=payload.get("radius"))
+    """Table from a JSON file; malformed content raises ValueError naming the file."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        for key in ("frame", "entries"):
+            if not isinstance(payload, dict) or key not in payload:
+                raise ValueError(f"table has no {key!r} field")
+        frame = FrameMatrix.from_json(payload["frame"])
+        return TauTable.from_json(payload["entries"], frame=frame, radius=payload.get("radius"))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _parse_point(text: str) -> LatticePoint:

@@ -306,13 +306,6 @@ class LaurentPoly:
             return 0, UniPoly.zero()
         return self.min_degree, UniPoly(self.coeffs)
 
-    def to_unipoly(self) -> UniPoly:
-        if self.is_zero():
-            return UniPoly.zero()
-        if self.min_degree < 0:
-            raise ValueError("Laurent polynomial has negative powers")
-        return UniPoly((ZERO,) * self.min_degree + self.coeffs)
-
     def _coerce(self, other):
         if isinstance(other, LaurentPoly):
             return other
@@ -473,13 +466,6 @@ class RationalFunction:
     @classmethod
     def constant(cls, c) -> "RationalFunction":
         return cls(UniPoly.constant(c))
-
-    @classmethod
-    def from_laurent(cls, p: LaurentPoly) -> "RationalFunction":
-        m, poly = p.split()
-        if m >= 0:
-            return cls(poly * UniPoly.monomial(1, m))
-        return cls(poly, UniPoly.monomial(1, -m))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .backlund import SigmaFn, VQuad, sigma_move_terms, toda_product
 from .exactalg import RationalFunction, UniPoly, as_scalar
-from .grassmann import TauT, TauTable
+from .grassmann import TauT, TauTable, tau_in_x
 from .lattice import LatticePoint, MoveIJK, move_vector, r_weight
 
 
@@ -263,8 +263,6 @@ def component_permute(perm: tuple[int, int, int], table: TauTable):
     new_frame = table.frame.permuted(perm)
     new_table = TauTable(new_frame, radius=table.radius)
     signs: dict[LatticePoint, int | None] = {}
-    from .grassmann import tau_in_x
-
     inverse = tuple(perm.index(a) for a in range(3))
     for p in table.points():
         q = permute_point(p, perm)

@@ -7,9 +7,12 @@ head is expanded multilinearly into basis slots, every surviving term is
 sorted into canonical order, and its occupied degrees per component are
 decoded (Maya correspondence) into a charge triple plus three partitions.
 Each decoded term bosonizes to a product of first-times Schur polynomials,
+a single monomial by the hook-length formula s_lambda = x^|lambda| / H(lambda),
 giving one charge sector ``TauPolynomial`` per charge; the substitution
 x1 = u, x2 = u + h, x3 = u + h/t then yields the one-variable tau
-``TauT`` = coefficient of h^R, with the u-dependence required to cancel.
+``TauT`` = coefficient of h^R.  The u-dependence cancels exactly when
+(d1 + d2 + d3) kills the sector, and T(t) is then read off its terms free
+of x1.
 
 Sign bookkeeping, fixed once and pinned by the identity suites:
 
@@ -28,7 +31,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
 from typing import Iterable, Mapping
 
 from .exactalg import ZERO, LaurentPoly, TriPoly, UniPoly, as_scalar
@@ -101,8 +103,6 @@ class FrameMatrix:
 
     def _invert_transpose(self):
         d = self.det()
-        if d == 0:
-            raise SingularFrame(f"frame rows are dependent: {self.rows}")
         r = self.rows
         cof = [
             [
@@ -321,68 +321,28 @@ def expand_wedge(mu, frame: FrameMatrix) -> list[WedgeTerm]:
 
 
 # ---------------------------------------------------------------------------
-# bosonization: Jacobi-Trudi over first-times elementary Schur polynomials
+# bosonization: hook-length formula at first times
 # ---------------------------------------------------------------------------
 
-def elementary_schur(k: int) -> UniPoly:
-    """S_k specialized to first times: x^k / k! for k >= 0, else 0."""
-    if k < 0:
-        return UniPoly.zero()
-    return UniPoly.monomial(Fraction(1, factorial(k)), k)
-
-
 def schur_first_times(partition) -> UniPoly:
-    """s_lambda at first times via the Jacobi-Trudi determinant
-    det(S_{lambda_i - i + j})."""
+    """s_lambda at first times: x^|lambda| / prod of the hook lengths of lambda
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.3 and Ex. I.5.2)."""
     lam = tuple(partition)
-    n = len(lam)
-    if n == 0:
-        return UniPoly.constant(1)
-    rows = [[elementary_schur(lam[i] - (i + 1) + (j + 1)) for j in range(n)] for i in range(n)]
-    cache: dict[tuple[int, frozenset], UniPoly] = {}
-
-    def minor(i: int, cols: frozenset) -> UniPoly:
-        if i == n:
-            return UniPoly.constant(1)
-        key = (i, cols)
-        got = cache.get(key)
-        if got is not None:
-            return got
-        acc = UniPoly.zero()
-        for pos, j in enumerate(sorted(cols)):
-            entry = rows[i][j]
-            if entry.is_zero():
-                continue
-            sub = minor(i + 1, cols - {j})
-            term = entry * sub
-            acc = acc + (term if pos % 2 == 0 else -term)
-        cache[key] = acc
-        return acc
-
-    return minor(0, frozenset(range(n)))
+    cols = [sum(1 for row in lam if row > j) for j in range(lam[0] if lam else 0)]
+    hooks = 1
+    for i, row in enumerate(lam):
+        for j in range(row):
+            hooks *= row - j + cols[j] - i - 1
+    return UniPoly.monomial(Fraction(1, hooks), sum(lam))
 
 
 def bosonize(term: WedgeTerm) -> TriPoly:
-    """Image of one wedge term in the three first times:
+    """Image of one wedge term in the three first times, the monomial
     sign * coefficient * prod_a s_{lambda^(a)}(x_a)."""
-    factors = [schur_first_times(p) for p in term.partitions]
-    out = TriPoly.constant(term.sign * term.coefficient)
-    for axis, poly in enumerate(factors):
-        expanded = TriPoly()
-        for k, v in out.terms.items():
-            for e, c in enumerate(poly.coeffs):
-                if c == 0:
-                    continue
-                nk = list(k)
-                nk[axis] += e
-                nk = tuple(nk)
-                s = expanded.terms.get(nk, ZERO) + v * c
-                if s == 0:
-                    expanded.terms.pop(nk, None)
-                else:
-                    expanded.terms[nk] = s
-        out = expanded
-    return out
+    coeff = term.sign * term.coefficient
+    for p in term.partitions:
+        coeff *= schur_first_times(p).leading()
+    return TriPoly.monomial(coeff, tuple(sum(p) for p in term.partitions))
 
 
 # ---------------------------------------------------------------------------
@@ -423,22 +383,44 @@ class TauT:
 
     @classmethod
     def from_json(cls, d: Mapping) -> "TauT":
-        return cls(LatticePoint.from_json(d["point"]), LaurentPoly.from_json(d["T"]), int(d["weight"]))
+        """Inverse of to_json; a missing field raises KeyError, and an entry
+        to_json would not write raises ValueError."""
+        if not isinstance(d, Mapping):
+            raise ValueError(f"table entry {d!r} is not an object")
+        T = LaurentPoly.from_json(d["T"])
+        if T.to_json() != d["T"]:
+            raise ValueError(f"coefficients of point {d['point']} are not canonical: {d['T']}")
+        return cls(LatticePoint.from_json(d["point"]), T, int(d["weight"]))
 
 
-def tau_in_x(mu, charge, frame: FrameMatrix) -> TauPolynomial:
-    """Charge sector of the expanded wedge; zero unless sum(charge) = -sum(mu)."""
+def _sectors_in_x(mu, terms, only=None) -> dict[tuple[int, int, int], TauPolynomial]:
+    """Every nonempty charge sector of the expanded wedge terms of mu (only
+    the sector of charge ``only`` when given), each checked to be homogeneous
+    of its weight."""
+    sums: dict[tuple[int, int, int], dict] = {}
+    for term in terms:
+        if only is not None and term.charges != only:
+            continue
+        sector = sums.setdefault(term.charges, {})
+        for k, v in bosonize(term).terms.items():
+            sector[k] = sector.get(k, ZERO) + v
+    out = {}
+    for charge, sector in sums.items():
+        tp = TauPolynomial(mu, charge, TriPoly(sector))
+        _check_homogeneous(tp)
+        out[charge] = tp
+    return out
+
+
+def tau_in_x(mu, charge, frame: FrameMatrix, terms=None) -> TauPolynomial:
+    """Charge sector of the expanded wedge, or of ``terms`` when the caller
+    has already expanded it; zero when no term carries the charge."""
     mu = tuple(int(m) for m in mu)
     charge = tuple(int(c) for c in charge)
-    if sum(mu) + sum(charge) != 0:
-        return TauPolynomial(mu, charge, TriPoly.zero())
-    acc = TriPoly.zero()
-    for term in expand_wedge(mu, frame):
-        if term.charges == charge:
-            acc = acc + bosonize(term)
-    tp = TauPolynomial(mu, charge, acc)
-    _check_homogeneous(tp)
-    return tp
+    if terms is None:
+        terms = expand_wedge(mu, frame)
+    got = _sectors_in_x(mu, terms, charge).get(charge)
+    return got if got is not None else TauPolynomial(mu, charge, TriPoly.zero())
 
 
 def _check_homogeneous(tp: TauPolynomial) -> None:
@@ -454,55 +436,38 @@ def _check_homogeneous(tp: TauPolynomial) -> None:
 def specialize_to_t(tp: TauPolynomial) -> TauT:
     """Substitute x1 = u, x2 = u + h, x3 = u + h/t and strip h^R.
 
-    The u-terms must cancel identically (translation invariance of the
-    sector); any survivor raises GaugeDependence rather than being dropped.
+    The u-dependence cancels exactly when the sector is killed by
+    d1 + d2 + d3; otherwise GaugeDependence is raised.  Then u = 0 leaves the
+    terms free of x1, and c x2^d2 x3^d3 contributes c h^(d2+d3) t^(-d3); a
+    power of h other than R raises HomogeneityViolation.
     """
     point = tp.point
     weight = r_weight(point)
     if tp.poly.is_zero():
         return TauT(point, LaurentPoly.zero(), weight)
-    acc: dict[tuple[int, int, int], Fraction] = {}
-    for (d1, d2, d3), c in tp.poly.terms.items():
-        for m2 in range(d2 + 1):
-            c2 = comb(d2, m2)
-            for m3 in range(d3 + 1):
-                key = (d1 + d2 - m2 + d3 - m3, m2 + m3, -m3)
-                val = c * c2 * comb(d3, m3)
-                s = acc.get(key, ZERO) + val
-                if s == 0:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
+    gradient = tp.poly.partial(0) + tp.poly.partial(1) + tp.poly.partial(2)
+    if not gradient.is_zero():
+        raise GaugeDependence(f"u survives in sector {tp.charge} of mu={tp.mu}")
     t_coeffs: dict[int, Fraction] = {}
-    for (u_pow, h_pow, t_pow), v in acc.items():
-        if u_pow > 0:
-            raise GaugeDependence(
-                f"u^{u_pow} survives in sector {tp.charge} of mu={tp.mu}"
-            )
-        if h_pow != weight:
-            raise HomogeneityViolation(
-                f"h^{h_pow} term in sector {tp.charge} of mu={tp.mu}, weight {weight}"
-            )
-        t_coeffs[t_pow] = t_coeffs.get(t_pow, ZERO) + v
-    if not t_coeffs:
-        return TauT(point, LaurentPoly.zero(), weight)
-    lo = min(t_coeffs)
-    hi = max(t_coeffs)
+    for (d1, d2, d3), c in tp.poly.terms.items():
+        if d1 == 0:
+            if d2 + d3 != weight:
+                raise HomogeneityViolation(
+                    f"h^{d2 + d3} term in sector {tp.charge} of mu={tp.mu}, weight {weight}"
+                )
+            t_coeffs[-d3] = c
+    lo, hi = min(t_coeffs), max(t_coeffs)
     return TauT(point, LaurentPoly(lo, [t_coeffs.get(n, ZERO) for n in range(lo, hi + 1)]), weight)
 
 
 def seed_table(mu, frame: FrameMatrix) -> dict[tuple[int, int, int], TauT]:
     """Every TauT of the mu family with weight >= 0, zeros stored explicitly."""
     mu = tuple(int(m) for m in mu)
-    sectors: dict[tuple[int, int, int], TriPoly] = {}
-    for term in expand_wedge(mu, frame):
-        sectors[term.charges] = sectors.get(term.charges, TriPoly.zero()) + bosonize(term)
-    out: dict[tuple[int, int, int], TauT] = {}
-    for charge in charges_with_weight_at_least_zero(mu):
-        tp = TauPolynomial(mu, charge, sectors.get(charge, TriPoly.zero()))
-        _check_homogeneous(tp)
-        out[charge] = specialize_to_t(tp)
-    return out
+    sectors = _sectors_in_x(mu, expand_wedge(mu, frame))
+    return {
+        charge: specialize_to_t(sectors.get(charge) or TauPolynomial(mu, charge, TriPoly.zero()))
+        for charge in charges_with_weight_at_least_zero(mu)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +545,8 @@ class TauTable:
                   radius: int | None = None) -> "TauTable":
         """Table from serialized entries; a repeated point or a stored weight
         other than r_weight(point) raises ValueError."""
+        if not isinstance(entries, list):
+            raise ValueError(f"table entries are a {type(entries).__name__}, not a list")
         table = cls(frame, radius=radius)
         for item in entries:
             tau = TauT.from_json(item)

@@ -96,32 +96,16 @@ def suite_vacuum_charge(table: TauTable) -> SuiteReport:
     vac = table.tau(origin)
     rep.record(vac.T == LaurentPoly.constant(1), _terms(vac.T - 1), check="vacuum")
     for mu in sorted({p.mu for p in table.points()}):
-        bad = [list(term.charges) for term in expand_wedge(mu, table.frame)
-               if sum(term.charges) + sum(mu) != 0]
+        terms = expand_wedge(mu, table.frame)
+        bad = [list(term.charges) for term in terms if sum(term.charges) + sum(mu) != 0]
         rep.record(not bad, len(bad), check="charge-selection", mu=list(mu), charges=bad)
         # a mismatched charge sector is identically zero
         off = tuple(-m for m in mu)
         off = (off[0] + 1, off[1], off[2])
-        tp = tau_in_x(mu, off, table.frame)
+        tp = tau_in_x(mu, off, table.frame, terms)
         rep.record(tp.poly.is_zero(), len(tp.poly.terms), check="off-charge-zero",
                    mu=list(mu))
     return rep
-
-
-def _euler_identity_holds(poly, weight: int) -> bool:
-    """sum_a x_a d(poly)/dx_a == weight * poly, exactly."""
-    from .exactalg import TriPoly
-
-    acc = TriPoly.zero()
-    for axis in range(3):
-        part = poly.partial(axis)
-        lifted = TriPoly()
-        for key, val in part.terms.items():
-            nk = list(key)
-            nk[axis] += 1
-            lifted.terms[tuple(nk)] = val
-        acc = acc + lifted
-    return acc == weight * poly
 
 
 def suite_homogeneity(table: TauTable) -> SuiteReport:
@@ -131,7 +115,8 @@ def suite_homogeneity(table: TauTable) -> SuiteReport:
         tp = tau_in_x(p.mu, p.charge, table.frame)
         if tp.poly.is_zero():
             continue
-        euler = _euler_identity_holds(tp.poly, tp.weight)
+        # Euler: sum_a x_a dP/dx_a = wP holds exactly when P is homogeneous of degree w
+        euler = tp.poly.homogeneous_degree() == tp.weight
         rep.record(euler, 0 if euler else 1, check="euler", point=p.to_json())
         gradient = tp.poly.partial(0) + tp.poly.partial(1) + tp.poly.partial(2)
         rep.record(gradient.is_zero(), len(gradient.terms), check="translation-invariance",

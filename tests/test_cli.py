@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -149,14 +150,70 @@ def test_verify_missing_table_file(tmp_path, capsys):
     assert "missing.json" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["entries", "frame"])
+@pytest.mark.parametrize("key", ["entries", "frame", "point", "weight", "T"])
 def test_table_without_field_rejected(table_file, tmp_path, capsys, key):
     payload = json.loads(table_file.read_text())
-    del payload[key]
+    del (payload if key in payload else payload["entries"][0])[key]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
     assert main(["verify", "--table", str(bad), "--suites", "toda"]) == 2
-    assert repr(key) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert repr(key) in err and "bad.json" in err
+
+
+def _first_T(payload):
+    return next(e["T"] for e in payload["entries"] if e["T"]["coeffs"])
+
+
+def _float_in_frame(payload):
+    payload["frame"][0][0] = 0.5
+
+
+def _float_in_coeffs(payload):
+    _first_T(payload)["coeffs"][0] = 0.5
+
+
+def _entries_not_a_list(payload):
+    payload["entries"] = {"0": payload["entries"][0]}
+
+
+def _entry_not_an_object(payload):
+    payload["entries"][0] = ["point", "weight", "T"]
+
+
+def _trailing_zero(payload):
+    _first_T(payload)["coeffs"].append("0")
+
+
+def _leading_zero(payload):
+    T = _first_T(payload)
+    T["min_degree"] -= 1
+    T["coeffs"].insert(0, "0")
+
+
+def _unreduced_fraction(payload):
+    coeffs = _first_T(payload)["coeffs"]
+    c = Fraction(coeffs[0])
+    coeffs[0] = f"{2 * c.numerator}/{2 * c.denominator}"
+
+
+@pytest.mark.parametrize("mutate, problem", [
+    pytest.param(_float_in_frame, "0.5", id="float-in-frame"),
+    pytest.param(_float_in_coeffs, "0.5", id="float-in-coeffs"),
+    pytest.param(_entries_not_a_list, "not a list", id="entries-not-a-list"),
+    pytest.param(_entry_not_an_object, "not an object", id="entry-not-an-object"),
+    pytest.param(_trailing_zero, "not canonical", id="trailing-zero"),
+    pytest.param(_leading_zero, "not canonical", id="leading-zero"),
+    pytest.param(_unreduced_fraction, "not canonical", id="unreduced-fraction"),
+])
+def test_table_with_malformed_value_rejected(table_file, tmp_path, capsys, mutate, problem):
+    payload = json.loads(table_file.read_text())
+    mutate(payload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["verify", "--table", str(bad), "--suites", "toda"]) == 2
+    err = capsys.readouterr().err
+    assert problem in err and "bad.json" in err
 
 
 def test_table_with_duplicate_point_rejected(table_file, tmp_path, capsys):

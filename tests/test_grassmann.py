@@ -7,6 +7,7 @@ from p6tau.exactalg import LaurentPoly, TriPoly, UniPoly
 from p6tau.grassmann import (
     FrameMatrix,
     GaugeDependence,
+    HomogeneityViolation,
     MissingTau,
     SingularFrame,
     TauPolynomial,
@@ -141,8 +142,20 @@ def test_charge_selection_rule():
 # bosonization
 # ---------------------------------------------------------------------------
 
+def partitions(n, largest=None):
+    """Every partition of n with parts at most largest, as weakly decreasing tuples."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+
+
 def test_schur_specialization_against_tableau_oracle():
-    for parts in ((), (1,), (3,), (1, 1), (2, 1), (2, 2), (3, 1, 1)):
+    every = [parts for n in range(10) for parts in partitions(n)]
+    assert len(every) == 1 + 1 + 2 + 3 + 5 + 7 + 11 + 15 + 22 + 30
+    for parts in every:
         poly = schur_first_times(parts)
         n = sum(parts)
         expected = UniPoly.monomial(Fraction(syt_count(parts), factorial(n)), n)
@@ -155,7 +168,7 @@ def test_bosonize_examples():
     row = WedgeTerm((0, 0, 0), ((4,), (), ()), 1, Fraction(1))
     assert bosonize(row) == TriPoly.monomial(Fraction(1, 24), (4, 0, 0))
     col = WedgeTerm((0, 0, 0), ((), (1, 1), ()), 1, Fraction(1))
-    # 2x2 determinant: S1^2 - S2 S0 = x^2 - x^2/2 = x^2/2
+    # hook lengths of (1, 1) are 2 and 1, so s = x^2/2
     assert bosonize(col) == TriPoly.monomial(Fraction(1, 2), (0, 2, 0))
 
 
@@ -182,9 +195,26 @@ def test_specialize_examples():
 
 
 def test_specialize_rejects_gauge_dependent_input():
-    bad = TauPolynomial((1, -1, 0), (0, 0, 0), TriPoly({(1, 0, 0): 1}))
-    with pytest.raises(GaugeDependence):
-        specialize_to_t(bad)
+    # x1 at weight 1, and x2^2 - x1 x3 at weight 2: homogeneous of the weight
+    # of its point, with an x1-free term that alone would give T = 1, but
+    # d1 + d2 + d3 maps it to 2 x2 - x1 - x3, so u survives
+    for bad in (TauPolynomial((1, -1, 0), (0, 0, 0), TriPoly({(1, 0, 0): 1})),
+                TauPolynomial((2, -1, -1), (-1, 1, 0), TriPoly({(0, 2, 0): 1, (1, 0, 1): -1}))):
+        assert bad.poly.homogeneous_degree() == bad.weight
+        with pytest.raises(GaugeDependence):
+            specialize_to_t(bad)
+
+
+@pytest.mark.parametrize("terms", [
+    pytest.param({(0, 0, 0): 1, (0, 1, 0): 1, (1, 0, 0): -1}, id="mixed-degrees"),
+    pytest.param({(0, 2, 0): 1, (1, 1, 0): -2, (2, 0, 0): 1}, id="degree-above-weight"),
+])
+def test_specialize_rejects_inhomogeneous_sector(terms):
+    # both sectors are killed by d1 + d2 + d3, so only the degree check can fail
+    tp = TauPolynomial((1, -1, 0), (0, 0, 0), TriPoly(terms))
+    assert tp.weight == 1
+    with pytest.raises(HomogeneityViolation):
+        specialize_to_t(tp)
 
 
 def test_translation_invariance_and_euler_on_ball():
