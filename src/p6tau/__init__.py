@@ -9,7 +9,7 @@ the sigma-level relation with first-order corrections, and the
 correspondence with the F4(1) root lattice.
 """
 
-from .exactalg import LaurentPoly, RationalFunction, Scalar, TriPoly, UniPoly
+from .exactalg import LaurentPoly, RationalFunction, Scalar, UniPoly
 from .grassmann import FrameMatrix, TauT, TauTable
 from .lattice import LatticePoint, MoveIJK
 
@@ -24,6 +24,5 @@ __all__ = [
     "Scalar",
     "TauT",
     "TauTable",
-    "TriPoly",
     "UniPoly",
 ]

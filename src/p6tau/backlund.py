@@ -108,10 +108,6 @@ class EpsTable:
     def to_json(self) -> dict[str, int]:
         return {f"{i},{j},{k}": s for (i, j, k), s in sorted(self.signs.items())}
 
-    @classmethod
-    def from_json(cls, d) -> "EpsTable":
-        return cls({tuple(int(x) for x in key.split(",")): int(v) for key, v in d.items()})
-
 
 # ---------------------------------------------------------------------------
 # Toda lines

@@ -12,10 +12,11 @@ Polynomial flavours:
 * ``LaurentPoly``      finite Laurent polynomials in t (negative powers are
                        first-class: the t-specialization of a tau function can
                        produce them before any normalization);
-* ``TriPoly``          polynomials in the three first times, keyed by
-                       exponent triples;
 * ``RationalFunction`` quotients of ``UniPoly``, eagerly gcd-reduced with a
                        monic denominator, so equality is decidable by ==.
+
+Polynomials in the three first times occur only as charge sectors, which
+``grassmann`` keeps as plain dicts from exponent triple to coefficient.
 
 All values are immutable after construction and safe to share.
 """
@@ -78,16 +79,6 @@ class UniPoly:
         if n < 0:
             raise ValueError("UniPoly exponents are nonnegative; use LaurentPoly")
         return cls((0,) * n + (as_scalar(c),))
-
-    @classmethod
-    def from_degree_map(cls, m: Mapping) -> "UniPoly":
-        if not m:
-            return cls.zero()
-        top = max(int(k) for k in m)
-        cs = [ZERO] * (top + 1)
-        for k, v in m.items():
-            cs[int(k)] = as_scalar(v)
-        return cls(cs)
 
     def to_degree_map(self) -> dict[str, str]:
         return {str(i): str(c) for i, c in enumerate(self.coeffs) if c != 0}
@@ -547,140 +538,3 @@ class RationalFunction:
 
     def to_json(self) -> dict:
         return {"num": self.num.to_degree_map(), "den": self.den.to_degree_map()}
-
-
-# ---------------------------------------------------------------------------
-# polynomials in the three first times
-# ---------------------------------------------------------------------------
-
-class TriPoly:
-    """Polynomial in three variables, stored as exponent-triple -> scalar."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping | None = None):
-        out: dict[tuple[int, int, int], Fraction] = {}
-        if terms:
-            for key, val in terms.items():
-                k = tuple(int(e) for e in key)
-                if len(k) != 3 or any(e < 0 for e in k):
-                    raise ValueError(f"bad exponent triple {key!r}")
-                v = as_scalar(val)
-                if v != 0:
-                    out[k] = out.get(k, ZERO) + v
-                    if out[k] == 0:
-                        del out[k]
-        self.terms = out
-
-    @classmethod
-    def zero(cls) -> "TriPoly":
-        return cls()
-
-    @classmethod
-    def constant(cls, c) -> "TriPoly":
-        return cls({(0, 0, 0): as_scalar(c)})
-
-    @classmethod
-    def monomial(cls, c, exps: tuple[int, int, int]) -> "TriPoly":
-        return cls({tuple(exps): as_scalar(c)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _coerce(self, other):
-        if isinstance(other, TriPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return TriPoly.constant(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for k, v in o.terms.items():
-            s = out.get(k, ZERO) + v
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        res = TriPoly()
-        res.terms = out
-        return res
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        res = TriPoly()
-        res.terms = {k: -v for k, v in self.terms.items()}
-        return res
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out: dict[tuple[int, int, int], Fraction] = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in o.terms.items():
-                k = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
-                s = out.get(k, ZERO) + v1 * v2
-                if s == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        res = TriPoly()
-        res.terms = out
-        return res
-
-    __rmul__ = __mul__
-
-    def partial(self, axis: int) -> "TriPoly":
-        """Formal partial derivative along axis 0, 1 or 2."""
-        out: dict[tuple[int, int, int], Fraction] = {}
-        for k, v in self.terms.items():
-            e = k[axis]
-            if e == 0:
-                continue
-            nk = list(k)
-            nk[axis] = e - 1
-            out[tuple(nk)] = v * e
-        res = TriPoly()
-        res.terms = out
-        return res
-
-    def homogeneous_degree(self) -> int | None:
-        """Total degree when homogeneous, None otherwise (zero counts as any)."""
-        degs = {sum(k) for k in self.terms}
-        if not degs:
-            return None
-        if len(degs) == 1:
-            return degs.pop()
-        return -2  # sentinel: inhomogeneous
-
-    def permute_vars(self, perm: tuple[int, int, int]) -> "TriPoly":
-        """Relabel variables: new exponent of axis a is the old one of perm[a]."""
-        res = TriPoly()
-        res.terms = {
-            (k[perm[0]], k[perm[1]], k[perm[2]]): v for k, v in self.terms.items()
-        }
-        return res
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.terms == o.terms
-
-    def __hash__(self):
-        return hash(("TriPoly", tuple(sorted(self.terms.items()))))
-
-    def __repr__(self):
-        items = ", ".join(f"{k}: {str(v)!r}" for k, v in sorted(self.terms.items()))
-        return f"TriPoly({{{items}}})"

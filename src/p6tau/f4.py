@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .backlund import SigmaFn, VQuad, sigma_move_terms, toda_product
 from .exactalg import RationalFunction, UniPoly, as_scalar
-from .grassmann import TauT, TauTable, tau_in_x
+from .grassmann import TauT, TauTable, specialize_to_t, tau_in_x
 from .lattice import LatticePoint, MoveIJK, move_vector, r_weight
 
 
@@ -64,10 +64,6 @@ class F4Vector:
 
     def to_json(self) -> list:
         return [self.v0] + [str(x) for x in self.v]
-
-    @classmethod
-    def from_json(cls, data) -> "F4Vector":
-        return cls(int(data[0]), tuple(as_scalar(x) for x in data[1:]))
 
     def __str__(self):
         return f"({self.v0}; " + ", ".join(str(x) for x in self.v) + ")"
@@ -264,19 +260,21 @@ def component_permute(perm: tuple[int, int, int], table: TauTable):
     new_table = TauTable(new_frame, radius=table.radius)
     signs: dict[LatticePoint, int | None] = {}
     inverse = tuple(perm.index(a) for a in range(3))
-    for p in table.points():
-        q = permute_point(p, perm)
-        new_table.entries[q] = new_table.tau(q)
+    moved = {p: permute_point(p, perm) for p in table.points()}
+    old_families = {mu: tau_in_x(mu, table.frame) for mu in {p.mu for p in moved}}
+    new_families = {mu: tau_in_x(mu, new_frame) for mu in {q.mu for q in moved.values()}}
+    for p, q in moved.items():
+        sector = new_families[q.mu].get(q.charge, {})
+        new_table.entries[q] = specialize_to_t(q, sector)
         # compare at the level of the three first times: the new table's
         # variable a is the old variable perm[a]
-        tp_old = tau_in_x(p.mu, p.charge, table.frame)
-        tp_new = tau_in_x(q.mu, q.charge, new_frame)
-        permuted = tp_new.poly.permute_vars(inverse)
-        if tp_old.poly.is_zero():
-            signs[p] = None if permuted.is_zero() else 0
-        elif permuted == tp_old.poly:
+        old = old_families[p.mu].get(p.charge, {})
+        new = {(k[inverse[0]], k[inverse[1]], k[inverse[2]]): v for k, v in sector.items()}
+        if not old:
+            signs[p] = 0 if new else None
+        elif new == old:
             signs[p] = 1
-        elif permuted == -tp_old.poly:
+        elif new == {k: -v for k, v in old.items()}:
             signs[p] = -1
         else:
             signs[p] = 0

@@ -7,12 +7,12 @@ head is expanded multilinearly into basis slots, every surviving term is
 sorted into canonical order, and its occupied degrees per component are
 decoded (Maya correspondence) into a charge triple plus three partitions.
 Each decoded term bosonizes to a product of first-times Schur polynomials,
-a single monomial by the hook-length formula s_lambda = x^|lambda| / H(lambda),
-giving one charge sector ``TauPolynomial`` per charge; the substitution
-x1 = u, x2 = u + h, x3 = u + h/t then yields the one-variable tau
-``TauT`` = coefficient of h^R.  The u-dependence cancels exactly when
-(d1 + d2 + d3) kills the sector, and T(t) is then read off its terms free
-of x1.
+a single monomial by the hook-length formula s_lambda = x^|lambda| / H(lambda).
+A charge sector is therefore a plain dict from exponent triple (d1, d2, d3)
+to nonzero coefficient; the substitution x1 = u, x2 = u + h, x3 = u + h/t
+then yields the one-variable tau ``TauT`` = coefficient of h^R.  The
+u-dependence cancels exactly when (d1 + d2 + d3) kills the sector, and T(t)
+is then read off its terms free of x1.
 
 Sign bookkeeping, fixed once and pinned by the identity suites:
 
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .exactalg import ZERO, LaurentPoly, TriPoly, UniPoly, as_scalar
+from .exactalg import ZERO, LaurentPoly, as_scalar
 from .lattice import (
     LatticePoint,
     ball,
@@ -249,7 +249,7 @@ class WedgeTerm:
     coefficient: Fraction
 
 
-def _partition_from_below(occupied_below, level: int, charge: int) -> tuple[int, ...]:
+def _partition_from_below(occupied_below, level: int) -> tuple[int, ...]:
     parts = []
     n = len(occupied_below)
     for i, s in enumerate(occupied_below):
@@ -310,7 +310,7 @@ def expand_wedge(mu, frame: FrameMatrix) -> list[WedgeTerm]:
             lst.sort()
         charges = tuple(len(below[a]) - level for a in range(3))
         partitions = tuple(
-            _partition_from_below(below[a], level, charges[a]) for a in range(3)
+            _partition_from_below(below[a], level) for a in range(3)
         )
         weight = Fraction(sum(m * m for m in mu) - sum(c * c for c in charges), 2)
         if sum(sum(p) for p in partitions) != weight:
@@ -324,48 +324,31 @@ def expand_wedge(mu, frame: FrameMatrix) -> list[WedgeTerm]:
 # bosonization: hook-length formula at first times
 # ---------------------------------------------------------------------------
 
-def schur_first_times(partition) -> UniPoly:
-    """s_lambda at first times: x^|lambda| / prod of the hook lengths of lambda
-    (Macdonald, Symmetric Functions and Hall Polynomials, I.3 and Ex. I.5.2)."""
+def schur_first_times(partition) -> Fraction:
+    """Coefficient of s_lambda at first times, which is x^|lambda| / prod of
+    the hook lengths of lambda (Macdonald, Symmetric Functions and Hall
+    Polynomials, I.3 and Ex. I.5.2)."""
     lam = tuple(partition)
     cols = [sum(1 for row in lam if row > j) for j in range(lam[0] if lam else 0)]
     hooks = 1
     for i, row in enumerate(lam):
         for j in range(row):
             hooks *= row - j + cols[j] - i - 1
-    return UniPoly.monomial(Fraction(1, hooks), sum(lam))
+    return Fraction(1, hooks)
 
 
-def bosonize(term: WedgeTerm) -> TriPoly:
+def bosonize(term: WedgeTerm) -> tuple[tuple[int, int, int], Fraction]:
     """Image of one wedge term in the three first times, the monomial
-    sign * coefficient * prod_a s_{lambda^(a)}(x_a)."""
+    sign * coefficient * prod_a s_{lambda^(a)}(x_a), as (exponents, coefficient)."""
     coeff = term.sign * term.coefficient
     for p in term.partitions:
-        coeff *= schur_first_times(p).leading()
-    return TriPoly.monomial(coeff, tuple(sum(p) for p in term.partitions))
+        coeff *= schur_first_times(p)
+    return tuple(sum(p) for p in term.partitions), coeff
 
 
 # ---------------------------------------------------------------------------
-# tau polynomials and their t-specialization
+# charge sectors and their t-specialization
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TauPolynomial:
-    """One charge sector of an expanded wedge, as a polynomial in the
-    three first times; homogeneous of degree equal to its weight."""
-
-    mu: tuple[int, int, int]
-    charge: tuple[int, int, int]
-    poly: TriPoly
-
-    @property
-    def weight(self) -> int:
-        return r_weight(self.point)
-
-    @property
-    def point(self) -> LatticePoint:
-        return LatticePoint(self.charge + self.mu)
-
 
 @dataclass(frozen=True)
 class TauT:
@@ -393,67 +376,56 @@ class TauT:
         return cls(LatticePoint.from_json(d["point"]), T, int(d["weight"]))
 
 
-def _sectors_in_x(mu, terms, only=None) -> dict[tuple[int, int, int], TauPolynomial]:
-    """Every nonempty charge sector of the expanded wedge terms of mu (only
-    the sector of charge ``only`` when given), each checked to be homogeneous
-    of its weight."""
-    sums: dict[tuple[int, int, int], dict] = {}
-    for term in terms:
-        if only is not None and term.charges != only:
-            continue
-        sector = sums.setdefault(term.charges, {})
-        for k, v in bosonize(term).terms.items():
-            sector[k] = sector.get(k, ZERO) + v
-    out = {}
-    for charge, sector in sums.items():
-        tp = TauPolynomial(mu, charge, TriPoly(sector))
-        _check_homogeneous(tp)
-        out[charge] = tp
-    return out
+def tau_in_x(mu, frame: FrameMatrix, terms=None) -> dict[tuple[int, int, int], dict]:
+    """Every nonempty charge sector of the wedge of mu, keyed by charge.
 
-
-def tau_in_x(mu, charge, frame: FrameMatrix, terms=None) -> TauPolynomial:
-    """Charge sector of the expanded wedge, or of ``terms`` when the caller
-    has already expanded it; zero when no term carries the charge."""
-    mu = tuple(int(m) for m in mu)
-    charge = tuple(int(c) for c in charge)
+    A sector maps exponent triples (d1, d2, d3) to nonzero coefficients.
+    ``terms`` is the caller's expansion of the same wedge, when it has one.
+    """
     if terms is None:
         terms = expand_wedge(mu, frame)
-    got = _sectors_in_x(mu, terms, charge).get(charge)
-    return got if got is not None else TauPolynomial(mu, charge, TriPoly.zero())
+    sectors: dict[tuple[int, int, int], dict] = {}
+    for term in terms:
+        exps, c = bosonize(term)
+        sector = sectors.setdefault(term.charges, {})
+        total = sector.get(exps, ZERO) + c
+        if total:
+            sector[exps] = total
+        else:
+            sector.pop(exps, None)
+    return {charge: sector for charge, sector in sectors.items() if sector}
 
 
-def _check_homogeneous(tp: TauPolynomial) -> None:
-    deg = tp.poly.homogeneous_degree()
-    if deg is None:
-        return
-    if deg != tp.weight:
-        raise HomogeneityViolation(
-            f"sector {tp.charge} of mu={tp.mu} has degree {deg}, weight {tp.weight}"
-        )
+def translation_gradient(sector) -> dict:
+    """(d1 + d2 + d3) P of a sector P, without zero coefficients."""
+    out: dict[tuple[int, int, int], Fraction] = {}
+    for (d1, d2, d3), c in sector.items():
+        for key, e in (((d1 - 1, d2, d3), d1), ((d1, d2 - 1, d3), d2), ((d1, d2, d3 - 1), d3)):
+            if e:
+                out[key] = out.get(key, ZERO) + e * c
+    return {k: v for k, v in out.items() if v}
 
 
-def specialize_to_t(tp: TauPolynomial) -> TauT:
-    """Substitute x1 = u, x2 = u + h, x3 = u + h/t and strip h^R.
+def specialize_to_t(point: LatticePoint, sector) -> TauT:
+    """Substitute x1 = u, x2 = u + h, x3 = u + h/t in the sector of point and
+    strip h^R.
 
     The u-dependence cancels exactly when the sector is killed by
     d1 + d2 + d3; otherwise GaugeDependence is raised.  Then u = 0 leaves the
     terms free of x1, and c x2^d2 x3^d3 contributes c h^(d2+d3) t^(-d3); a
     power of h other than R raises HomogeneityViolation.
     """
-    point = tp.point
     weight = r_weight(point)
-    if tp.poly.is_zero():
+    if not sector:
         return TauT(point, LaurentPoly.zero(), weight)
-    gradient = tp.poly.partial(0) + tp.poly.partial(1) + tp.poly.partial(2)
-    if not gradient.is_zero():
-        raise GaugeDependence(f"u survives in sector {tp.charge} of mu={tp.mu}")
+    if translation_gradient(sector):
+        raise GaugeDependence(f"u survives in the sector of {point}")
     t_coeffs: dict[int, Fraction] = {}
-    for (d1, d2, d3), c in tp.poly.terms.items():
+    for (d1, d2, d3), c in sector.items():
         if d1 == 0:
             if d2 + d3 != weight:
                 raise HomogeneityViolation(
-                    f"h^{d2 + d3} term in sector {tp.charge} of mu={tp.mu}, weight {weight}"
+                    f"h^{d2 + d3} term in the sector of {point}, weight {weight}"
                 )
             t_coeffs[-d3] = c
     lo, hi = min(t_coeffs), max(t_coeffs)
@@ -463,9 +435,9 @@ def specialize_to_t(tp: TauPolynomial) -> TauT:
 def seed_table(mu, frame: FrameMatrix) -> dict[tuple[int, int, int], TauT]:
     """Every TauT of the mu family with weight >= 0, zeros stored explicitly."""
     mu = tuple(int(m) for m in mu)
-    sectors = _sectors_in_x(mu, expand_wedge(mu, frame))
+    sectors = tau_in_x(mu, frame)
     return {
-        charge: specialize_to_t(sectors.get(charge) or TauPolynomial(mu, charge, TriPoly.zero()))
+        charge: specialize_to_t(LatticePoint(charge + mu), sectors.get(charge, {}))
         for charge in charges_with_weight_at_least_zero(mu)
     }
 

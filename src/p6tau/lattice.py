@@ -179,13 +179,6 @@ def big_GH(p: LatticePoint, m: MoveIJK) -> tuple[UniPoly, UniPoly]:
     return G, H
 
 
-def sign_eps(j: int, charge) -> int:
-    """Ordering sign of prepending component j to an ordered charge monomial."""
-    if not 1 <= j <= 3:
-        raise ValueError(f"j must lie in 1..3, got {j}")
-    return -1 if sum(charge[: j - 1]) % 2 else 1
-
-
 def e0_translate(p: LatticePoint) -> tuple[LatticePoint, int]:
     """Translate by (1,1,1,-1,-1,-1); the returned sign relates the tau values."""
     sign = -1 if p.alpha[1] % 2 else 1

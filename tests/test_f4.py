@@ -195,6 +195,7 @@ def test_d4_action_examples():
 def test_component_permute_identity_and_signs(table1):
     new_table, signs, t_map = component_permute((0, 1, 2), table1)
     assert t_map == "t"
+    assert all(new_table.get(p) == table1.get(p) for p in table1.points())
     assert all(s in (1, None) for s in signs.values())
     for perm, expected in (((2, 1, 0), "1-t"), ((1, 0, 2), "t/(t-1)"), ((0, 2, 1), "1/t")):
         _, signs, t_map = component_permute(perm, table1)

@@ -1,16 +1,16 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from p6tau.exactalg import LaurentPoly, TriPoly, UniPoly
+from p6tau.exactalg import LaurentPoly
 from p6tau.grassmann import (
     FrameMatrix,
     GaugeDependence,
     HomogeneityViolation,
     MissingTau,
     SingularFrame,
-    TauPolynomial,
     TauTable,
     WedgeTerm,
     bosonize,
@@ -20,8 +20,9 @@ from p6tau.grassmann import (
     seed_table,
     specialize_to_t,
     tau_in_x,
+    translation_gradient,
 )
-from p6tau.lattice import LatticePoint, ball, e0_translate
+from p6tau.lattice import LatticePoint, ball, e0_translate, r_weight
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +135,8 @@ def test_charge_selection_rule():
     for mu in ((1, 0, 0), (1, 1, 0), (2, -1, 0)):
         for term in expand_wedge(mu, f):
             assert sum(term.charges) == -sum(mu)
-    assert tau_in_x((0, 0, 0), (1, -1, 0), f).poly.is_zero()
-    assert tau_in_x((1, 0, 0), (0, 0, 0), f).poly.is_zero()
+    assert (1, -1, 0) not in tau_in_x((0, 0, 0), f)
+    assert (0, 0, 0) not in tau_in_x((1, 0, 0), f)
 
 
 # ---------------------------------------------------------------------------
@@ -156,20 +157,25 @@ def test_schur_specialization_against_tableau_oracle():
     every = [parts for n in range(10) for parts in partitions(n)]
     assert len(every) == 1 + 1 + 2 + 3 + 5 + 7 + 11 + 15 + 22 + 30
     for parts in every:
-        poly = schur_first_times(parts)
-        n = sum(parts)
-        expected = UniPoly.monomial(Fraction(syt_count(parts), factorial(n)), n)
-        assert poly == expected
+        # s_lambda = x^n f^lambda / n!, f^lambda the number of standard tableaux
+        assert schur_first_times(parts) == Fraction(syt_count(parts), factorial(sum(parts)))
 
 
 def test_bosonize_examples():
     empty = WedgeTerm((0, 0, 0), ((), (), ()), 1, Fraction(3, 2))
-    assert bosonize(empty) == TriPoly.constant(Fraction(3, 2))
+    assert bosonize(empty) == ((0, 0, 0), Fraction(3, 2))
     row = WedgeTerm((0, 0, 0), ((4,), (), ()), 1, Fraction(1))
-    assert bosonize(row) == TriPoly.monomial(Fraction(1, 24), (4, 0, 0))
+    assert bosonize(row) == ((4, 0, 0), Fraction(1, 24))
     col = WedgeTerm((0, 0, 0), ((), (1, 1), ()), 1, Fraction(1))
     # hook lengths of (1, 1) are 2 and 1, so s = x^2/2
-    assert bosonize(col) == TriPoly.monomial(Fraction(1, 2), (0, 2, 0))
+    assert bosonize(col) == ((0, 2, 0), Fraction(1, 2))
+
+
+def test_tau_in_x_sums_terms_and_drops_cancelled_ones():
+    f = FrameMatrix.vandermonde()
+    term = WedgeTerm((0, 0, 0), ((1,), (), ()), 1, Fraction(2))
+    assert tau_in_x((0, 0, 0), f, [term, term]) == {(0, 0, 0): {(1, 0, 0): 4}}
+    assert tau_in_x((0, 0, 0), f, [term, replace(term, sign=-1)]) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -177,32 +183,37 @@ def test_bosonize_examples():
 # ---------------------------------------------------------------------------
 
 def test_specialize_examples():
-    f = FrameMatrix.vandermonde()
-    const = TauPolynomial((0, 0, 0), (0, 0, 0), TriPoly.constant(1))
-    assert specialize_to_t(const).T == LaurentPoly.constant(1)
+    origin = LatticePoint((0, 0, 0, 0, 0, 0))
+    assert specialize_to_t(origin, {(0, 0, 0): Fraction(1)}).T == LaurentPoly.constant(1)
 
     # x2 - x1 -> h, so T = 1 at weight 1
-    diff = TauPolynomial((1, -1, 0), (0, 0, 0),
-                         TriPoly({(0, 1, 0): 1, (1, 0, 0): -1}))
-    tau = specialize_to_t(diff)
+    tau = specialize_to_t(LatticePoint((0, 0, 0, 1, -1, 0)),
+                          {(0, 1, 0): Fraction(1), (1, 0, 0): Fraction(-1)})
     assert tau.weight == 1 and tau.T == LaurentPoly.constant(1)
 
     # x3 - x1 -> h/t, so T = 1/t at weight 1
-    diff3 = TauPolynomial((1, 0, -1), (0, 0, 0),
-                          TriPoly({(0, 0, 1): 1, (1, 0, 0): -1}))
-    tau3 = specialize_to_t(diff3)
+    tau3 = specialize_to_t(LatticePoint((0, 0, 0, 1, 0, -1)),
+                           {(0, 0, 1): Fraction(1), (1, 0, 0): Fraction(-1)})
     assert tau3.T == LaurentPoly.monomial(1, -1)
+
+
+def test_translation_gradient():
+    # (d1 + d2 + d3)(x1^2 - x2^2 + x1 x3) = 3 x1 - 2 x2 + x3
+    sector = {(2, 0, 0): Fraction(1), (0, 2, 0): Fraction(-1), (1, 0, 1): Fraction(1)}
+    assert translation_gradient(sector) == {(1, 0, 0): 3, (0, 1, 0): -2, (0, 0, 1): 1}
+    # (x2 - x1)(x3 - x1) is a function of differences only
+    assert translation_gradient({(0, 1, 1): 1, (1, 1, 0): -1, (1, 0, 1): -1, (2, 0, 0): 1}) == {}
 
 
 def test_specialize_rejects_gauge_dependent_input():
     # x1 at weight 1, and x2^2 - x1 x3 at weight 2: homogeneous of the weight
     # of its point, with an x1-free term that alone would give T = 1, but
     # d1 + d2 + d3 maps it to 2 x2 - x1 - x3, so u survives
-    for bad in (TauPolynomial((1, -1, 0), (0, 0, 0), TriPoly({(1, 0, 0): 1})),
-                TauPolynomial((2, -1, -1), (-1, 1, 0), TriPoly({(0, 2, 0): 1, (1, 0, 1): -1}))):
-        assert bad.poly.homogeneous_degree() == bad.weight
+    for point, sector in ((LatticePoint((0, 0, 0, 1, -1, 0)), {(1, 0, 0): 1}),
+                          (LatticePoint((-1, 1, 0, 2, -1, -1)), {(0, 2, 0): 1, (1, 0, 1): -1})):
+        assert all(sum(exps) == r_weight(point) for exps in sector)
         with pytest.raises(GaugeDependence):
-            specialize_to_t(bad)
+            specialize_to_t(point, sector)
 
 
 @pytest.mark.parametrize("terms", [
@@ -211,23 +222,26 @@ def test_specialize_rejects_gauge_dependent_input():
 ])
 def test_specialize_rejects_inhomogeneous_sector(terms):
     # both sectors are killed by d1 + d2 + d3, so only the degree check can fail
-    tp = TauPolynomial((1, -1, 0), (0, 0, 0), TriPoly(terms))
-    assert tp.weight == 1
+    point = LatticePoint((0, 0, 0, 1, -1, 0))
+    assert r_weight(point) == 1
     with pytest.raises(HomogeneityViolation):
-        specialize_to_t(tp)
+        specialize_to_t(point, terms)
 
 
 def test_translation_invariance_and_euler_on_ball():
     f = FrameMatrix.vandermonde()
     for mu in sorted({p.mu for p in ball(2)}):
-        for charge, tau in seed_table(mu, f).items():
-            tp = tau_in_x(mu, charge, f)
-            if tp.poly.is_zero():
+        sectors = tau_in_x(mu, f)
+        taus = seed_table(mu, f)
+        assert set(sectors) <= set(taus)
+        for charge, tau in taus.items():
+            sector = sectors.get(charge)
+            if sector is None:
                 assert tau.is_zero()
                 continue
-            grad = tp.poly.partial(0) + tp.poly.partial(1) + tp.poly.partial(2)
-            assert grad.is_zero()
-            assert tp.poly.homogeneous_degree() == tp.weight
+            assert all(sector.values())
+            assert translation_gradient(sector) == {}
+            assert all(sum(exps) == tau.weight for exps in sector)
 
 
 def test_seed_table_stores_zero_entries():
@@ -246,13 +260,14 @@ def test_frame_row_permutation_changes_tau_by_sign_at_most():
     f = FrameMatrix.vandermonde()
     for perm in itertools.permutations(range(3)):
         g = f.permuted(perm)
+        inverse = tuple(perm.index(a) for a in range(3))
         for p in ball(1):
             mu_p = tuple(p.mu[perm[a]] for a in range(3))
             ch_p = tuple(p.charge[perm[a]] for a in range(3))
-            inverse = tuple(perm.index(a) for a in range(3))
-            tp = tau_in_x(p.mu, p.charge, f)
-            tq = tau_in_x(mu_p, ch_p, g).poly.permute_vars(inverse)
-            assert tq == tp.poly or tq == -tp.poly
+            tp = tau_in_x(p.mu, f).get(p.charge, {})
+            tq = {(k[inverse[0]], k[inverse[1]], k[inverse[2]]): v
+                  for k, v in tau_in_x(mu_p, g).get(ch_p, {}).items()}
+            assert tq == tp or tq == {k: -v for k, v in tp.items()}
 
 
 # ---------------------------------------------------------------------------

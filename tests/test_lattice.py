@@ -17,7 +17,6 @@ from p6tau.lattice import (
     move_vector,
     n_coeff,
     r_weight,
-    sign_eps,
 )
 
 T = UniPoly.t()
@@ -130,23 +129,6 @@ def test_big_gh_degree_bound():
         for m in all_moves()[::7]:
             G, H = big_GH(p, m)
             assert G.degree <= 1 and H.degree <= 1
-
-
-def test_sign_eps():
-    assert sign_eps(1, (5, -3, 2)) == 1
-    assert sign_eps(2, (1, 0, 0)) == -1
-    assert sign_eps(3, (1, 1, 0)) == 1
-
-
-@settings(deadline=None, max_examples=60)
-@given(
-    st.integers(min_value=1, max_value=3),
-    st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5)),
-    st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5)),
-)
-def test_sign_eps_cocycle(j, a, b):
-    total = tuple(x + y for x, y in zip(a, b))
-    assert sign_eps(j, total) == sign_eps(j, a) * sign_eps(j, b)
 
 
 def test_e0_translate():
