@@ -9,7 +9,7 @@ the sigma-level relation with first-order corrections, and the
 correspondence with the F4(1) root lattice.
 """
 
-from .exactalg import LaurentPoly, RationalFunction, Scalar, UniPoly
+from .exactalg import LaurentPoly, Scalar, UniPoly
 from .grassmann import FrameMatrix, TauT, TauTable
 from .lattice import LatticePoint, MoveIJK
 
@@ -20,7 +20,6 @@ __all__ = [
     "LatticePoint",
     "LaurentPoly",
     "MoveIJK",
-    "RationalFunction",
     "Scalar",
     "TauT",
     "TauTable",

@@ -5,8 +5,9 @@ tau family satisfies: the three Toda lines, the bilinear relation for a move
 (i, j, k) with its calibrated sign table, the two six-point product
 identities, the sigma function with its second-order quadratic residual, and
 the sigma-level relation with first-order corrections G and H.  Residuals are
-exact Laurent polynomials or reduced rational functions; a relation holds iff
-its residual is literally zero.
+exact Laurent polynomials, or, for the sigma-level identities, polynomials in t
+with every denominator cleared (each residual's docstring names its clearing
+factor); a relation holds iff its residual is literally zero.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import LaurentPoly, RationalFunction, UniPoly, as_scalar
+from .exactalg import LaurentPoly, UniPoly, as_scalar, poly_gcd
 from .grassmann import MissingTau, TauT, TauTable
 from .lattice import (
     LatticePoint,
@@ -72,10 +73,29 @@ class DirectionalDerivative:
 
 @dataclass(frozen=True)
 class SigmaFn:
-    """Sigma function of a nonzero tau: t(t-1) dlogT/dt + c5(t-1) - c6/2."""
+    """Sigma function num/den of a nonzero tau: t(t-1) dlogT/dt + c5(t-1) - c6/2.
+
+    The quotient is not reduced: compare two sigmas with sigma_difference.
+    """
 
     point: LatticePoint
-    sigma: RationalFunction
+    num: UniPoly
+    den: UniPoly
+
+    def to_json(self) -> dict:
+        """num/den in lowest terms with a monic denominator; zero is 0/1."""
+        if self.num.is_zero():
+            num, den = self.num, UniPoly.constant(1)
+        else:
+            g = poly_gcd(self.num, self.den)
+            num, den = self.num // g, self.den // g
+            num, den = num * (1 / den.leading()), den.monic()
+        return {"num": num.to_degree_map(), "den": den.to_degree_map()}
+
+
+def sigma_difference(a: SigmaFn, b: SigmaFn) -> UniPoly:
+    """a.num b.den - b.num a.den: zero iff the two sigmas are equal."""
+    return a.num * b.den - b.num * a.den
 
 
 @dataclass(frozen=True)
@@ -268,7 +288,10 @@ def miwa_second_residual(table: TauTable, base, k: int, ell: int, i: int, j: int
 # ---------------------------------------------------------------------------
 
 def sigma_of(tau: TauT) -> SigmaFn:
-    """sigma = t(t-1) T'/T + c5 (t-1) - c6/2, as a reduced rational function."""
+    """sigma = t(t-1) T'/T + c5 (t-1) - c6/2 as num/den, with T = t^m P:
+
+    num = t(t-1) P' + ((t-1)(m + c5) - c6/2) P and den = P.
+    """
     if tau.T.is_zero():
         raise ZeroTau(f"no sigma at {tau.point}: tau is zero")
     m, P = tau.T.split()
@@ -276,7 +299,7 @@ def sigma_of(tau: TauT) -> SigmaFn:
     t = UniPoly.t()
     linear = (t - 1) * (as_scalar(m) + c5) - UniPoly.constant(c6 / 2)
     num = t * (t - 1) * P.derivative() + linear * P
-    return SigmaFn(tau.point, RationalFunction(num, P))
+    return SigmaFn(tau.point, num, P)
 
 
 def v_of_point(p: LatticePoint) -> VQuad:
@@ -299,13 +322,12 @@ def via_params(v: VQuad) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     return alpha, beta, gamma, delta
 
 
-def jmo_residual_with_v(sigma: RationalFunction, v: VQuad) -> RationalFunction:
-    """Residual of the second-order quadratic sigma equation for given v.
+def jmo_residual_with_v(N: UniPoly, D: UniPoly, v: VQuad) -> UniPoly:
+    """Residual of the second-order quadratic sigma equation for sigma = N/D, given v.
 
     sigma'(t(t-1) sigma'')^2 + (sigma'[2 sigma - (2t-1) sigma'] + v1v2v3v4)^2
-    - prod_k (sigma' + v_k^2), cleared over the common denominator D^8.
+    - prod_k (sigma' + v_k^2), times D^8.
     """
-    N, D = sigma.num, sigma.den
     A = N.derivative() * D - N * D.derivative()          # sigma' = A / D^2
     B = A.derivative() * D - 2 * A * D.derivative()      # sigma'' = B / D^3
     t = UniPoly.t()
@@ -319,36 +341,42 @@ def jmo_residual_with_v(sigma: RationalFunction, v: VQuad) -> RationalFunction:
     rhs = UniPoly.constant(1)
     for vk in v.as_tuple():
         rhs = rhs * (A + (vk * vk) * D2)
-    return RationalFunction(lhs - rhs, D4 * D4)
+    return lhs - rhs
 
 
-def jmo_residual(s: SigmaFn) -> RationalFunction:
-    """Residual of the sigma equation at s.point's own v quadruple."""
-    return jmo_residual_with_v(s.sigma, v_of_point(s.point))
+def jmo_residual(s: SigmaFn) -> UniPoly:
+    """Residual of the sigma equation at s.point's own v quadruple, times s.den^8."""
+    return jmo_residual_with_v(s.num, s.den, v_of_point(s.point))
 
 
 # ---------------------------------------------------------------------------
 # sigma-level relation for a move
 # ---------------------------------------------------------------------------
 
-def sigma_move_terms(s_a: SigmaFn, s_ik: SigmaFn, m: MoveIJK) -> tuple[UniPoly, RationalFunction]:
-    """G and K = sa - sik + H of the sigma-level relation for move m at s_a.point.
+def sigma_move_terms(s_a: SigmaFn, s_ik: SigmaFn,
+                     m: MoveIJK) -> tuple[UniPoly, UniPoly, UniPoly]:
+    """G, Kn and Kd of the sigma-level relation for move m at s_a.point.
 
+    K = sa - sik + H = Kn/Kd with Kd = Da Dik and Kn = Na Dik - Nik Da + H Kd.
     Raises DegenerateK when K vanishes, since the relation divides by it.
     """
     G, H = big_GH(s_a.point, m)
-    K = s_a.sigma - s_ik.sigma + RationalFunction(H)
-    if K.is_zero():
+    Kd = s_a.den * s_ik.den
+    Kn = s_a.num * s_ik.den - s_ik.num * s_a.den + H * Kd
+    if Kn.is_zero():
         raise DegenerateK(f"K vanishes for move {m} at {s_a.point}")
-    return G, K
+    return G, Kn, Kd
 
 
 def sigma_backlund_residual(s_a: SigmaFn, s_ik: SigmaFn, s_ij: SigmaFn,
-                            s_jk: SigmaFn, m: MoveIJK) -> RationalFunction:
+                            s_jk: SigmaFn, m: MoveIJK) -> UniPoly:
     """Denominator-free residual of the sigma-level relation:
 
-    (sij + sjk - sik - sa - G) * K - t(t-1) * K',  K = sa - sik + H.
+    (sij + sjk - sik - sa - G) * K - t(t-1) * K',  K = sa - sik + H = Kn/Kd,
 
+    times Dij Djk Kd^2, where D is the denominator of each sigma.  That is
+    Ln Kn - t(t-1)(Kn' Kd - Kn Kd') Dij Djk with
+    Ln = (Nij Djk + Njk Dij) Kd - (Nik Da + Na Dik + G Kd) Dij Djk.
     Zero iff the relation holds; the log derivative never appears as such.
     """
     base = s_a.point
@@ -362,10 +390,13 @@ def sigma_backlund_residual(s_a: SigmaFn, s_ik: SigmaFn, s_ij: SigmaFn,
             raise ConfigurationMismatch(
                 f"sigma at {s.point} does not sit at {point} for move {m}"
             )
-    G, K = sigma_move_terms(s_a, s_ik, m)
+    G, Kn, Kd = sigma_move_terms(s_a, s_ik, m)
     t = UniPoly.t()
-    lhs = s_ij.sigma + s_jk.sigma - s_ik.sigma - s_a.sigma - RationalFunction(G)
-    return lhs * K - RationalFunction(t * (t - 1)) * K.derivative()
+    D_ij_jk = s_ij.den * s_jk.den
+    Ln = ((s_ij.num * s_jk.den + s_jk.num * s_ij.den) * Kd
+          - (s_ik.num * s_a.den + s_a.num * s_ik.den + G * Kd) * D_ij_jk)
+    dK = Kn.derivative() * Kd - Kn * Kd.derivative()
+    return Ln * Kn - t * (t - 1) * dK * D_ij_jk
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,7 @@ def cmd_sigma(point: LatticePoint, table_path: str, output: str | None) -> int:
     alpha, beta, gamma, delta = via_params(v)
     payload = {
         "point": point.to_json(),
-        "sigma": s.sigma.to_json(),
+        "sigma": s.to_json(),
         "v": [str(x) for x in v.as_tuple()],
         "pvi_coefficients": {
             "alpha": str(alpha), "beta": str(beta),

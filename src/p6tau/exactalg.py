@@ -1,4 +1,4 @@
-"""Exact arithmetic substrate: rational scalars, polynomials, rational functions.
+"""Exact arithmetic substrate: rational scalars and polynomials in t.
 
 Everything downstream certifies identities by reducing a residual to the
 literal zero polynomial, so no floating point is allowed here.  Scalars are
@@ -11,9 +11,11 @@ Polynomial flavours:
 * ``UniPoly``          dense univariate polynomials in t, low degree first;
 * ``LaurentPoly``      finite Laurent polynomials in t (negative powers are
                        first-class: the t-specialization of a tau function can
-                       produce them before any normalization);
-* ``RationalFunction`` quotients of ``UniPoly``, eagerly gcd-reduced with a
-                       monic denominator, so equality is decidable by ==.
+                       produce them before any normalization).
+
+A quotient of polynomials (a sigma function, say) is kept as an unreduced
+(numerator, denominator) pair by its user, and identities between quotients
+are checked with denominators cleared; ``poly_gcd`` reduces one for display.
 
 Polynomials in the three first times occur only as charge sectors, which
 ``grassmann`` keeps as plain dicts from exponent triple to coefficient.
@@ -73,12 +75,6 @@ class UniPoly:
     @classmethod
     def t(cls) -> "UniPoly":
         return cls((0, 1))
-
-    @classmethod
-    def monomial(cls, c, n: int) -> "UniPoly":
-        if n < 0:
-            raise ValueError("UniPoly exponents are nonnegative; use LaurentPoly")
-        return cls((0,) * n + (as_scalar(c),))
 
     def to_degree_map(self) -> dict[str, str]:
         return {str(i): str(c) for i, c in enumerate(self.coeffs) if c != 0}
@@ -148,18 +144,6 @@ class UniPoly:
         return UniPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = UniPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __call__(self, x) -> Fraction:
         """Exact evaluation at a rational point (Horner)."""
@@ -348,18 +332,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power; use exact_divide")
-        out = LaurentPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def derivative(self) -> "LaurentPoly":
         if self.is_zero():
             return self
@@ -419,122 +391,3 @@ class LaurentPoly:
     @classmethod
     def from_json(cls, d: Mapping) -> "LaurentPoly":
         return cls(int(d["min_degree"]), [as_scalar(c) for c in d["coeffs"]])
-
-
-# ---------------------------------------------------------------------------
-# rational functions
-# ---------------------------------------------------------------------------
-
-class RationalFunction:
-    """Quotient of polynomials in t, gcd-reduced, denominator monic."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: UniPoly, den: UniPoly | None = None):
-        if den is None:
-            den = UniPoly.constant(1)
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            self.num = UniPoly.zero()
-            self.den = UniPoly.constant(1)
-            return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num // g
-            den = den // g
-        lead = den.leading()
-        if lead != 1:
-            num = num * (1 / lead)
-            den = den.monic()
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def zero(cls) -> "RationalFunction":
-        return cls(UniPoly.zero())
-
-    @classmethod
-    def constant(cls, c) -> "RationalFunction":
-        return cls(UniPoly.constant(c))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def _coerce(self, other):
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, UniPoly):
-            return RationalFunction(other)
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction.constant(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalFunction(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def derivative(self) -> "RationalFunction":
-        return RationalFunction(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        # canonical forms make equality structural
-        return self.num == o.num and self.den == o.den
-
-    def __hash__(self):
-        return hash(("RationalFunction", self.num.coeffs, self.den.coeffs))
-
-    def __repr__(self):
-        return f"RationalFunction({self.num!r}, {self.den!r})"
-
-    def __str__(self):
-        if self.den == UniPoly.constant(1):
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-    def to_json(self) -> dict:
-        return {"num": self.num.to_degree_map(), "den": self.den.to_degree_map()}

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from p6tau.exactalg import LaurentPoly, NotDivisible, RationalFunction, UniPoly
+from p6tau.exactalg import LaurentPoly, NotDivisible, UniPoly
 from p6tau.backlund import (
     B_POLYS,
     DegenerateK,
@@ -24,6 +24,7 @@ from p6tau.backlund import (
     miwa_first_residual,
     miwa_second_residual,
     sigma_backlund_residual,
+    sigma_difference,
     sigma_of,
     solve_fourth,
     toda_neighbors,
@@ -31,8 +32,10 @@ from p6tau.backlund import (
     v_of_point,
     via_params,
 )
+from p6tau.f4 import sigma_step
 from p6tau.grassmann import MissingTau, TauT, TauTable
-from p6tau.lattice import LatticePoint, all_moves, move_vector, r_weight
+from p6tau.lattice import LatticePoint, all_moves, big_GH, c5_c6, move_vector, r_weight
+from p6tau.suites import perturb_table
 
 T = UniPoly.t()
 ORIGIN = LatticePoint((0, 0, 0, 0, 0, 0))
@@ -148,16 +151,16 @@ def test_eps_pair_values():
 
 def test_sigma_of_examples(table2):
     s = sigma_of(table2.get(ORIGIN))
-    assert s.sigma.is_zero()
+    assert s.num.is_zero()
     with pytest.raises(ZeroTau):
         sigma_of(TauT(ORIGIN, LaurentPoly.zero(), 0))
     # synthetic point with c5 = -1, c6 = 0: sigma = -(t-1)
     p = LatticePoint((1, 0, -1, 0, 0, 0))
     s2 = sigma_of(TauT(p, LaurentPoly.constant(1), r_weight(p)))
-    assert s2.sigma == RationalFunction(UniPoly((1, -1)))
+    assert (s2.num, s2.den) == (UniPoly((1, -1)), UniPoly.constant(1))
     # T = 1/t at the same point adds t(t-1) * (1/t)' / (1/t) = -(t-1)
     s3 = sigma_of(TauT(p, LaurentPoly.monomial(1, -1), r_weight(p)))
-    assert s3.sigma == RationalFunction(UniPoly((2, -2)))
+    assert (s3.num, s3.den) == (UniPoly((2, -2)), UniPoly.constant(1))
 
 
 def test_v_of_point_examples():
@@ -195,7 +198,7 @@ def test_via_params_round_trip():
 
 
 def test_jmo_zero_sigma():
-    res = jmo_residual(SigmaFn(ORIGIN, RationalFunction.zero()))
+    res = jmo_residual(SigmaFn(ORIGIN, UniPoly.zero(), UniPoly.constant(1)))
     assert res.is_zero()
 
 
@@ -203,7 +206,7 @@ def test_jmo_detects_perturbation(table2):
     p = LatticePoint((-1, 0, 0, 1, 0, 0))
     s = sigma_of(table2.get(p))
     assert jmo_residual(s).is_zero()
-    perturbed = SigmaFn(p, s.sigma + RationalFunction(T))
+    perturbed = SigmaFn(p, s.num + T * s.den, s.den)
     assert not jmo_residual(perturbed).is_zero()
 
 
@@ -212,7 +215,7 @@ def test_sigma_backlund_degenerate_raises(table2):
     p = LatticePoint((0, 0, 0, 0, 1, -1))
     m = MoveIJK(4, 2, 5)
     s = sigma_of(table2.get(p))
-    fake_ik = SigmaFn(p + move_vector(4, 5), s.sigma)
+    fake_ik = SigmaFn(p + move_vector(4, 5), s.num, s.den)
     s_ij = sigma_of(table2.get(p + move_vector(4, 2)))
     s_jk = sigma_of(table2.get(p + move_vector(2, 5)))
     with pytest.raises(DegenerateK):
@@ -267,5 +270,61 @@ def test_sigma_and_jmo_scale_invariant(table2):
     p = LatticePoint((0, 0, 0, 1, -1, 0))
     tau = table2.get(p)
     scaled = TauT(p, Fraction(7, 3) * tau.T, tau.weight)
-    assert sigma_of(scaled).sigma == sigma_of(tau).sigma
+    assert sigma_of(scaled).num != sigma_of(tau).num
+    assert sigma_difference(sigma_of(scaled), sigma_of(tau)).is_zero()
     assert jmo_residual(sigma_of(scaled)).is_zero()
+
+
+def _at(T: LaurentPoly, t0: Fraction) -> Fraction:
+    return sum(c * t0 ** (T.min_degree + i) for i, c in enumerate(T.coeffs))
+
+
+def _sigma_scalars(tau: TauT, t0: Fraction) -> tuple[Fraction, Fraction]:
+    """sigma and sigma' at t0 from sigma = t(t-1) T'/T + c5 (t-1) - c6/2."""
+    dT = tau.T.derivative()
+    value = _at(tau.T, t0)
+    L = _at(dT, t0) / value
+    c5, c6 = c5_c6(tau.point)
+    sigma = t0 * (t0 - 1) * L + c5 * (t0 - 1) - c6 / 2
+    dsigma = ((2 * t0 - 1) * L + t0 * (t0 - 1) * (_at(dT.derivative(), t0) / value - L * L)
+              + c5)
+    return sigma, dsigma
+
+
+def _first_square(table, wanted):
+    for m in all_moves():
+        for taus in iter_move_configurations(table, m):
+            if any(t.is_zero() for t in taus):
+                continue
+            sigmas = tuple(sigma_of(t) for t in taus)
+            try:
+                res = sigma_backlund_residual(*sigmas, m)
+            except DegenerateK:
+                continue
+            if any(s.den.degree > 0 for s in sigmas) and wanted(res):
+                return m, taus, sigmas, res
+    raise AssertionError("no such square")
+
+
+def test_cleared_sigma_formulas_match_scalar_oracle(table2):
+    """The cleared residual and the unreduced sigma-step against the uncleared
+    scalar formulas at rational points, on nonzero residuals too."""
+    genuine = _first_square(table2, lambda res: res.is_zero())
+    broken = _first_square(perturb_table(table2, LatticePoint((0, 0, 0, 1, -1, 0))),
+                           lambda res: not res.is_zero())
+    for m, taus, sigmas, res in (genuine, broken):
+        s_a, s_ik, s_ij, s_jk = sigmas
+        stepped = sigma_step(s_a, s_ik, s_ij, m)
+        G, H = big_GH(s_a.point, m)
+        for t0 in (Fraction(1, 3), Fraction(2), Fraction(-5, 7)):
+            sa, sik, sij, sjk = (_sigma_scalars(t, t0) for t in taus)
+            K = sa[0] - sik[0] + H(t0)
+            dK = sa[1] - sik[1] + H.derivative()(t0)
+            assert K != 0
+            uncleared = (sij[0] + sjk[0] - sik[0] - sa[0] - G(t0)) * K - t0 * (t0 - 1) * dK
+            clearing = s_ij.den(t0) * s_jk.den(t0) * (s_a.den(t0) * s_ik.den(t0)) ** 2
+            assert res(t0) == uncleared * clearing
+            expected = sa[0] + sik[0] + G(t0) + t0 * (t0 - 1) * dK / K - sij[0]
+            assert stepped.num(t0) / stepped.den(t0) == expected
+            if res.is_zero():
+                assert expected == sjk[0]

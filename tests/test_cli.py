@@ -110,6 +110,15 @@ def test_sigma_command(table_file, capsys):
     assert payload["sigma"]["num"] == {"1": "-1/4"}
 
 
+def test_sigma_command_reduces_the_quotient(table_file, capsys):
+    # T = (t - 1)/(4t): the unreduced sigma is (-t^2/16 + 3t/16 - 1/8) / ((t - 1)/4),
+    # which cancels to a polynomial
+    code = main(["sigma", "--point=-1,0,0,-1,1,1", "--table", str(table_file)])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["sigma"] == {"num": {"0": "1/2", "1": "-1/4"}, "den": {"0": "1"}}
+
+
 def test_sigma_unknown_point(table_file, capsys):
     code = main(["sigma", "--point", "5,-5,0,0,0,0", "--table", str(table_file)])
     assert code == 2

@@ -1,8 +1,11 @@
 from dataclasses import replace
 
 from p6tau import grassmann, suites
+from p6tau.exactalg import LaurentPoly
 from p6tau.grassmann import TauTable
-from p6tau.suites import suite_homogeneity, suite_vacuum_charge
+from p6tau.lattice import LatticePoint
+from p6tau.suites import (perturb_table, suite_f4, suite_homogeneity, suite_jmo,
+                          suite_sigma_backlund, suite_vacuum_charge)
 
 
 def _inject(monkeypatch, bad_mu, charges):
@@ -51,3 +54,19 @@ def test_homogeneity_records_euler_failures(table1, monkeypatch):
     euler = [c for c in rep.configurations if c.get("check") == "euler"]
     assert euler and not any(c["ok"] for c in euler)
     assert any(f.get("check") == "euler" for f in rep.failures)
+
+
+def test_sigma_level_suites_record_failures_on_perturbed_tables(table2):
+    # The acceptance probe (-1, 0, 0, 1, 0, 0) is not reused: its T is
+    # constant, so the bump only scales that tau, and scaling a tau leaves
+    # sigma unchanged.  Here T = -10 + 4/t becomes -10 + 5/t.
+    p = LatticePoint((0, 0, 0, 1, -1, 0))
+    broken = perturb_table(table2, p)
+    assert broken.get(p).T == LaurentPoly(-1, (5, -10))
+    relation = [f for f in suite_sigma_backlund(broken).failures if "check" not in f]
+    steps = [f for f in suite_f4(broken).failures if f.get("check") == "sigma-step"]
+    assert len(relation) == 54 and len(steps) == 54
+    assert all(f["terms"] > 0 for f in relation + steps)
+    # -10 + 5/t still solves the sigma equation at p, so jmo needs another probe
+    jmo = suite_jmo(perturb_table(table2, LatticePoint((0, 0, 0, -2, 0, 2))))
+    assert [f["point"] for f in jmo.failures] == [[0, 0, 0, -2, 0, 2]]
