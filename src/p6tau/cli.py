@@ -27,7 +27,7 @@ from .grassmann import (FrameMatrix, GaugeDependence, HomogeneityViolation, Miss
 from .lattice import LatticePoint
 from .suites import SUITES, run_suites
 
-DEFAULT_RADIUS_LIMIT = 3
+DEFAULT_RADIUS_LIMIT = 4
 
 
 class UnknownPoint(KeyError):

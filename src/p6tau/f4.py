@@ -250,13 +250,20 @@ def permute_point(p: LatticePoint, perm: tuple[int, int, int]) -> LatticePoint:
     )
 
 
-def component_permute(perm: tuple[int, int, int], table: TauTable):
+def table_families(table: TauTable) -> dict:
+    """``tau_in_x`` on the table's frame for every mu of the table."""
+    return {mu: tau_in_x(mu, table.frame) for mu in {p.mu for p in table.points()}}
+
+
+def component_permute(perm: tuple[int, int, int], table: TauTable, families: dict):
     """Tau table for the relabeled frame, with the per-point comparison signs.
 
     The frame rows and columns are relabeled together by perm, every lattice
     point has charge and mu parts permuted, and the tau polynomials in the
     relabeled times satisfy tau'(x o perm) = +- tau(x); the t-level relation
     follows through the induced Moebius map of t, which is also reported.
+    ``families`` is ``table_families(table)``, which the caller expands
+    once for all six permutations.
     """
     if table.frame is None:
         raise ValueError("table carries no frame")
@@ -265,14 +272,13 @@ def component_permute(perm: tuple[int, int, int], table: TauTable):
     signs: dict[LatticePoint, int | None] = {}
     inverse = tuple(perm.index(a) for a in range(3))
     moved = {p: permute_point(p, perm) for p in table.points()}
-    old_families = {mu: tau_in_x(mu, table.frame) for mu in {p.mu for p in moved}}
     new_families = {mu: tau_in_x(mu, new_frame) for mu in {q.mu for q in moved.values()}}
     for p, q in moved.items():
         sector = new_families[q.mu].get(q.charge, {})
         new_table.entries[q] = specialize_to_t(q, sector)
         # compare at the level of the three first times: the new table's
         # variable a is the old variable perm[a]
-        old = old_families[p.mu].get(p.charge, {})
+        old = families[p.mu].get(p.charge, {})
         new = {(k[inverse[0]], k[inverse[1]], k[inverse[2]]): v for k, v in sector.items()}
         if not old:
             signs[p] = 0 if new else None

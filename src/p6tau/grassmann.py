@@ -1,18 +1,27 @@
 """Tau functions from the 3-component polynomial Grassmannian.
 
-Pipeline:  a point family of the Grassmannian is selected by three generic
-row vectors (``FrameMatrix``) and an integer mu triple.  Its semi-infinite
-wedge has a finite "head" of frame-vector slots over a standard tail; the
-head is expanded multilinearly into basis slots, every surviving term is
-sorted into canonical order, and its occupied degrees per component are
+A point family of the Grassmannian is selected by three generic row vectors
+(``FrameMatrix``) and an integer mu triple.  Its semi-infinite wedge has a
+finite "head" of frame-vector slots over a standard tail.  At first times
+the tau of the point p = (c, mu), a polynomial P in x1, x2, x3, is one
+finite determinant (Cauchy-Binet over the head): ``tau_det`` evaluates it at
+x = (0, 1, 1/t), exactly and without fractions, to give the one-variable tau
+``TauT``; ``TauTable`` holds one per lattice point.  Two exact guards run on
+every point: the degree count of the matrix must be the weight R, so P is
+homogeneous of degree R, and P must be translation invariant, so the
+substitution x1 = u, x2 = u + h, x3 = u + h/t leaves h^R T(t) with no u.
+
+The wedge path computes the same P term by term and serves the x-level
+checks (relabelings, charge selection, homogeneity) and the test oracle:
+the head is expanded multilinearly into basis slots, every surviving term
+is sorted into canonical order, and its occupied degrees per component are
 decoded (Maya correspondence) into a charge triple plus three partitions.
 Each decoded term bosonizes to a product of first-times Schur polynomials,
 a single monomial by the hook-length formula s_lambda = x^|lambda| / H(lambda).
 A charge sector is therefore a plain dict from exponent triple (d1, d2, d3)
-to nonzero coefficient; the substitution x1 = u, x2 = u + h, x3 = u + h/t
-then yields the one-variable tau ``TauT`` = coefficient of h^R.  The
-u-dependence cancels exactly when (d1 + d2 + d3) kills the sector, and T(t)
-is then read off its terms free of x1.
+to nonzero coefficient.  Its u-dependence cancels exactly when
+(d1 + d2 + d3) kills the sector, and T(t) is then read off its terms free
+of x1.
 
 Sign bookkeeping, fixed once and pinned by the identity suites:
 
@@ -29,6 +38,7 @@ Sign bookkeeping, fixed once and pinned by the identity suites:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -443,6 +453,111 @@ def seed_table(mu, frame: FrameMatrix) -> dict[tuple[int, int, int], TauT]:
 
 
 # ---------------------------------------------------------------------------
+# the tau of one point as one determinant
+# ---------------------------------------------------------------------------
+
+def _bareiss(matrix: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination
+    (Bareiss), every division exact; the rows are overwritten."""
+    n = len(matrix)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not matrix[k][k]:
+            swap = next((i for i in range(k + 1, n) if matrix[i][k]), None)
+            if swap is None:
+                return 0
+            matrix[k], matrix[swap] = matrix[swap], matrix[k]
+            sign = -sign
+        pivot_row = matrix[k]
+        pivot = pivot_row[k]
+        for row in matrix[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
+        prev = pivot
+    return sign * matrix[-1][-1] if n else 1
+
+
+def _integer_matrix(rows, entries, x) -> list[list[int]]:
+    """The rescaled N_c at the integer point x: in row (k', a), the entry
+    stored as (w, e) in ``entries`` is w * x_a^e."""
+    return [[w * x[a] ** e if w else 0 for w, e in row] for (_, a), row in zip(rows, entries)]
+
+
+def _interpolate_times_factorial(values: list[int]) -> list[int]:
+    """Coefficients, in powers of s, of R! P(s) for the polynomial P of
+    degree <= R with P(s) = values[s] at s = 0..R: the Newton form
+    sum_n (Delta^n P)(0) s(s-1)...(s-n+1) / n!, all in integers."""
+    r = len(values) - 1
+    coeffs = [0] * (r + 1)
+    falling = [1]  # s(s-1)...(s-n+1) in powers of s
+    diffs = values
+    for n in range(r + 1):
+        w = diffs[0] * (math.factorial(r) // math.factorial(n))
+        for i, b in enumerate(falling):
+            coeffs[i] += w * b
+        diffs = [q - p for p, q in zip(diffs, diffs[1:])]
+        falling = [(falling[i - 1] if i else 0) - n * (falling[i] if i <= n else 0)
+                   for i in range(n + 2)]
+    return coeffs
+
+
+def tau_det(point: LatticePoint, frame: FrameMatrix) -> TauT:
+    """T_p(t) = family_sign(mu) * eta(c) * det N_c(0, 1, 1/t) for p = (c, mu).
+
+    N_c(x) is the Cauchy-Binet sum of the wedge expansion folded into one
+    matrix (Sato/Segal-Wilson; Kac and van de Leur, J. Math. Phys. 44, 2003):
+    with L = max(mu), its columns are the head slots (j, k), mu_j <= k < L,
+    ordered by (k, j); its rows are the slots (k', a), -c_a <= k' < L,
+    ordered by (k', a); and its entry is F[j][a] x_a^(k'-k) / (k'-k)!, zero
+    for k' < k.  T_p = 0 when some L + c_a < 0.
+
+    Scaling row (k', a) by (k'-m)! and column (j, k) by d_j / (k-m)!, with m
+    the smallest index and d_j the common denominator of frame row j, gives
+    the integer matrix d_j F[j][a] C(k'-m, k-m) x_a^(k'-k).  Its determinant
+    is taken by Bareiss at s = 0..R and interpolated in integers (Newton
+    form times R!); one rational scale per coefficient undoes the scalings.
+    Every term of det N_c has degree sum(k') - sum(k), which must be R
+    (else HomogeneityViolation), so P(x) = det N_c(x) is homogeneous of
+    degree R; then P(u, 1+u, s+u) = P(0, 1, s) on the grid u >= 1, u+s <= R
+    proves that P is translation invariant (else GaugeDependence).
+    """
+    weight = r_weight(point)
+    c, mu = point.charge, point.mu
+    level = max(mu)
+    if weight < 0 or any(level + ca < 0 for ca in c):
+        return TauT(point, LaurentPoly.zero(), weight)
+    rows = sorted((kp, a) for a in range(3) for kp in range(-c[a], level))
+    cols = sorted(((j, k) for j in range(3) for k in range(mu[j], level)),
+                  key=lambda jk: (jk[1], jk[0]))
+    if sum(kp for kp, _ in rows) - sum(k for _, k in cols) != weight:
+        raise HomogeneityViolation(f"the determinant of {point} has degree"
+                                   f" other than its weight {weight}")
+    m = min([kp for kp, _ in rows] + [k for _, k in cols], default=0)
+    denominators = [math.lcm(*(f.denominator for f in row)) for row in frame.rows]
+    ints = [[int(d * f) for f in row] for d, row in zip(denominators, frame.rows)]
+    entries = [[(ints[j][a] * math.comb(kp - m, k - m), kp - k) if kp >= k else (0, 0)
+                for j, k in cols] for kp, a in rows]
+    values = [_bareiss(_integer_matrix(rows, entries, (0, 1, s))) for s in range(weight + 1)]
+    for u in range(1, weight + 1):
+        for s in range(weight + 1 - u):
+            if _bareiss(_integer_matrix(rows, entries, (u, 1 + u, s + u))) != values[s]:
+                raise GaugeDependence(f"u survives in the determinant of {point}")
+    coeffs = _interpolate_times_factorial(values)
+    # undo R! and the row and column scalings
+    num = family_sign(mu) * _eta(c)
+    den = math.factorial(weight)
+    for kp, _ in rows:
+        den *= math.factorial(kp - m)
+    for j, k in cols:
+        num *= math.factorial(k - m)
+        den *= denominators[j]
+    # s = 1/t: the coefficient of s^n is that of t^-n
+    return TauT(point, LaurentPoly(-weight, [Fraction(num * a, den) for a in reversed(coeffs)]),
+                weight)
+
+
+# ---------------------------------------------------------------------------
 # tables over the lattice
 # ---------------------------------------------------------------------------
 
@@ -459,27 +574,13 @@ class TauTable:
         self.frame = frame
         self.entries: dict[LatticePoint, TauT] = dict(entries or {})
         self.radius = radius
-        self._mu_cache: dict[tuple[int, int, int], dict[tuple[int, int, int], TauT]] = {}
 
     @classmethod
     def build(cls, frame: FrameMatrix, radius: int) -> "TauTable":
         table = cls(frame, radius=radius)
         for point in ball(radius):
-            table.entries[point] = table._compute(point)
+            table.entries[point] = tau_det(point, frame)
         return table
-
-    def _sectors(self, mu):
-        got = self._mu_cache.get(mu)
-        if got is None:
-            got = seed_table(mu, self.frame)
-            self._mu_cache[mu] = got
-        return got
-
-    def _compute(self, point: LatticePoint) -> TauT:
-        weight = r_weight(point)
-        if weight < 0:
-            return TauT(point, LaurentPoly.zero(), weight)
-        return self._sectors(point.mu)[point.charge]
 
     def __contains__(self, point: LatticePoint) -> bool:
         return point in self.entries
@@ -502,7 +603,7 @@ class TauTable:
         if got is None:
             if self.frame is None:
                 raise MissingTau(str(point))
-            got = self._compute(point)
+            got = tau_det(point, self.frame)
             self.entries[point] = got
         return got
 

@@ -41,6 +41,7 @@ from .f4 import (
     short_sets,
     sigma_step,
     simple_roots_check,
+    table_families,
     toda_step_f4,
 )
 from .grassmann import (MissingTau, TauT, TauTable, expand_wedge, tau_in_x,
@@ -107,7 +108,7 @@ def suite_vacuum_charge(table: TauTable) -> SuiteReport:
 def suite_homogeneity(table: TauTable) -> SuiteReport:
     """Euler identity and translation invariance of every charge sector."""
     rep = SuiteReport("homogeneity")
-    families = {mu: tau_in_x(mu, table.frame) for mu in {p.mu for p in table.points()}}
+    families = table_families(table)
     for p in table.points():
         sector = families[p.mu].get(p.charge)
         if sector is None:
@@ -337,8 +338,9 @@ def suite_symmetry(table: TauTable) -> SuiteReport:
     for q in ball(1):
         sub.entries[q] = table.tau(q)
     maps = {}
+    families = table_families(sub)
     for perm in itertools.permutations(range(3)):
-        _, signs, t_map = component_permute(perm, sub)
+        _, signs, t_map = component_permute(perm, sub, families)
         bad = [p.to_json() for p, s in signs.items() if s == 0]
         maps["".join(str(x + 1) for x in perm)] = t_map
         rep.record(not bad, len(bad), check="component-permute", perm=list(perm),

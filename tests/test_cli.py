@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -33,6 +34,17 @@ def test_gen_deterministic(tmp_path):
     main(["gen", "--radius", "1", "--out", str(a)])
     main(["gen", "--radius", "1", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("radius, digest", [
+    ("3", "143db651da0d29a6a3ca57b69557777e6b3bb8121e38e1126ecf27496324fe7e"),
+    # within the default radius limit
+    ("4", "6a2cbe483ef311da4c2b0a5cdd947b13f60d557ac8b5a0caf86461b018fd6500"),
+])
+def test_gen_output_digest(tmp_path, radius, digest):
+    out = tmp_path / "table.json"
+    assert main(["gen", "--radius", radius, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_gen_radius_limit(tmp_path, capsys):

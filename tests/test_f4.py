@@ -16,6 +16,7 @@ from p6tau.f4 import (
     short_sets,
     sigma_step,
     simple_roots_check,
+    table_families,
     toda_gamma_table,
     toda_step_f4,
 )
@@ -194,12 +195,13 @@ def test_d4_action_examples():
 
 
 def test_component_permute_identity_and_signs(table1):
-    new_table, signs, t_map = component_permute((0, 1, 2), table1)
+    families = table_families(table1)
+    new_table, signs, t_map = component_permute((0, 1, 2), table1, families)
     assert t_map == "t"
     assert all(new_table.get(p) == table1.get(p) for p in table1.points())
     assert all(s in (1, None) for s in signs.values())
     for perm, expected in (((2, 1, 0), "1-t"), ((1, 0, 2), "t/(t-1)"), ((0, 2, 1), "1/t")):
-        _, signs, t_map = component_permute(perm, table1)
+        _, signs, t_map = component_permute(perm, table1, families)
         assert t_map == expected
         assert all(s != 0 for s in signs.values())
 

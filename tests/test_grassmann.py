@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from p6tau import cli, grassmann
 from p6tau.exactalg import LaurentPoly
 from p6tau.grassmann import (
     FrameMatrix,
@@ -19,6 +20,7 @@ from p6tau.grassmann import (
     schur_first_times,
     seed_table,
     specialize_to_t,
+    tau_det,
     tau_in_x,
     translation_gradient,
 )
@@ -268,6 +270,72 @@ def test_frame_row_permutation_changes_tau_by_sign_at_most():
             tq = {(k[inverse[0]], k[inverse[1]], k[inverse[2]]): v
                   for k, v in tau_in_x(mu_p, g).get(ch_p, {}).items()}
             assert tq == tp or tq == {k: -v for k, v in tp.items()}
+
+
+# ---------------------------------------------------------------------------
+# the determinant against the wedge expansion
+# ---------------------------------------------------------------------------
+
+ORACLE_FRAMES = {
+    "vandermonde": ((1, 1, 1), (1, 2, 4), (1, 3, 9)),
+    # entries +-a/b with 50 <= a, b <= 99, as the benchmark's frame sweep draws them
+    "dense": (("-67/53", "89/71", "55/97"),
+              ("73/61", "-59/83", "91/67"),
+              ("-79/89", "97/59", "-63/73")),
+    "triangular": ((1, 0, 0), (2, 3, 0), (4, 5, 6)),
+    "zero-entries": ((0, 1, 2), (3, 0, 5), (7, 11, 0)),
+}
+
+
+@pytest.mark.parametrize("rows", ORACLE_FRAMES.values(), ids=ORACLE_FRAMES.keys())
+def test_tau_det_matches_wedge_expansion_on_ball2(rows):
+    f = FrameMatrix(rows)
+    families = {mu: seed_table(mu, f) for mu in {p.mu for p in ball(2)}}
+    nonzero = 0
+    for p in ball(2):
+        got = tau_det(p, f)
+        assert got.weight == r_weight(p)
+        if got.weight < 0:
+            assert got.is_zero()
+            continue
+        assert got == families[p.mu][p.charge], p
+        nonzero += not got.is_zero()
+    assert nonzero > 0
+
+
+def test_tau_det_is_zero_when_a_charge_is_below_the_head():
+    # weight 0, yet L + c_1 = 1 - 2 < 0 leaves component 1 no rows
+    f = FrameMatrix.vandermonde()
+    p = LatticePoint((-2, 1, 1, -2, 1, 1))
+    assert r_weight(p) == 0
+    assert tau_det(p, f).is_zero()
+    assert seed_table(p.mu, f)[p.charge].is_zero()
+
+
+def test_tau_det_rejects_x1_dependent_entry(monkeypatch, tmp_path, capsys):
+    build = grassmann._integer_matrix
+
+    def x1_in_first_entry(rows, entries, x):
+        out = build(rows, entries, x)
+        if out:
+            out[0][0] += x[0]
+        return out
+
+    monkeypatch.setattr(grassmann, "_integer_matrix", x1_in_first_entry)
+    with pytest.raises(GaugeDependence):
+        TauTable.build(FrameMatrix.vandermonde(), 1)
+    assert cli.main(["gen", "--radius", "1", "--out", str(tmp_path / "x.json")]) == 2
+    assert "u survives" in capsys.readouterr().err
+
+
+def test_tau_det_rejects_a_wrong_degree_count(monkeypatch, tmp_path, capsys):
+    # one more than the slot degrees sum(k') - sum(k) can give
+    weight = grassmann.r_weight
+    monkeypatch.setattr(grassmann, "r_weight", lambda p: weight(p) + 1)
+    with pytest.raises(HomogeneityViolation):
+        TauTable.build(FrameMatrix.vandermonde(), 1)
+    assert cli.main(["gen", "--radius", "1", "--out", str(tmp_path / "x.json")]) == 2
+    assert "degree" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
