@@ -9,7 +9,7 @@ the sigma-level relation with first-order corrections, and the
 correspondence with the F4(1) root lattice.
 """
 
-from .exactalg import LaurentPoly, Scalar, UniPoly
+from .exactalg import LaurentPoly, Scalar
 from .grassmann import FrameMatrix, TauT, TauTable
 from .lattice import LatticePoint, MoveIJK
 
@@ -23,5 +23,4 @@ __all__ = [
     "Scalar",
     "TauT",
     "TauTable",
-    "UniPoly",
 ]

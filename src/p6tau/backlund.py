@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import LaurentPoly, UniPoly, as_scalar, poly_gcd
-from .grassmann import MissingTau, TauT, TauTable
+from .exactalg import LaurentPoly, as_scalar, poly_gcd
+from .grassmann import TauT, TauTable
 from .lattice import (
     LatticePoint,
     MoveIJK,
@@ -79,21 +79,21 @@ class SigmaFn:
     """
 
     point: LatticePoint
-    num: UniPoly
-    den: UniPoly
+    num: LaurentPoly
+    den: LaurentPoly
 
     def to_json(self) -> dict:
         """num/den in lowest terms with a monic denominator; zero is 0/1."""
         if self.num.is_zero():
-            num, den = self.num, UniPoly.constant(1)
+            num, den = self.num, LaurentPoly.constant(1)
         else:
             g = poly_gcd(self.num, self.den)
-            num, den = self.num // g, self.den // g
+            num, den = self.num.exact_divide(g), self.den.exact_divide(g)
             num, den = num * (1 / den.leading()), den.monic()
         return {"num": num.to_degree_map(), "den": den.to_degree_map()}
 
 
-def sigma_difference(a: SigmaFn, b: SigmaFn) -> UniPoly:
+def sigma_difference(a: SigmaFn, b: SigmaFn) -> LaurentPoly:
     """a.num b.den - b.num a.den: zero iff the two sigmas are equal."""
     return a.num * b.den - b.num * a.den
 
@@ -241,9 +241,21 @@ def eps_block_inversions(i: int, j: int, k: int) -> int:
     return -1 if inversions % 2 else 1
 
 
-def _table_tau(table: TauTable, six) -> LaurentPoly:
-    point = LatticePoint(tuple(six))
-    return table.get(point).T
+def _six_point_lookup(table: TauTable, base):
+    """at(i, j): the tau at base + delta_i + delta_j.  base is a raw 6-vector
+    whose entries sum to -2, checked here once, so every such point is a
+    lattice point by construction."""
+    b = tuple(int(x) for x in base)
+    if len(b) != 6 or sum(b) != -2:
+        raise ValueError(f"base {b} is not six entries summing to -2")
+
+    def at(i: int, j: int) -> LaurentPoly:
+        shifted = list(b)
+        shifted[i - 1] += 1
+        shifted[j - 1] += 1
+        return table.get(LatticePoint._unchecked(tuple(shifted))).T
+
+    return at
 
 
 def miwa_first_residual(table: TauTable, base, ell: int) -> LaurentPoly:
@@ -251,14 +263,7 @@ def miwa_first_residual(table: TauTable, base, ell: int) -> LaurentPoly:
     whose entries sum to -2."""
     if not 4 <= ell <= 6:
         raise ValueError(f"ell must lie in 4..6, got {ell}")
-    b = tuple(base)
-
-    def at(*idxs):
-        shifted = list(b)
-        for i in idxs:
-            shifted[i - 1] += 1
-        return _table_tau(table, shifted)
-
+    at = _six_point_lookup(table, base)
     return at(2, 3) * at(1, ell) - at(1, 3) * at(2, ell) + at(1, 2) * at(3, ell)
 
 
@@ -268,14 +273,7 @@ def miwa_second_residual(table: TauTable, base, k: int, ell: int, i: int, j: int
         raise ValueError(f"need distinct k, ell in 1..3, got ({k},{ell})")
     if not (4 <= i <= 6 and 4 <= j <= 6 and i != j):
         raise ValueError(f"need distinct i, j in 4..6, got ({i},{j})")
-    b = tuple(base)
-
-    def at(*idxs):
-        shifted = list(b)
-        for idx in idxs:
-            shifted[idx - 1] += 1
-        return _table_tau(table, shifted)
-
+    at = _six_point_lookup(table, base)
     return (
         eps_pair(k, ell) * at(ell, i) * at(k, j)
         + eps_pair(ell, k) * at(k, i) * at(ell, j)
@@ -296,8 +294,8 @@ def sigma_of(tau: TauT) -> SigmaFn:
         raise ZeroTau(f"no sigma at {tau.point}: tau is zero")
     m, P = tau.T.split()
     c5, c6 = c5_c6(tau.point)
-    t = UniPoly.t()
-    linear = (t - 1) * (as_scalar(m) + c5) - UniPoly.constant(c6 / 2)
+    t = LaurentPoly.t()
+    linear = (t - 1) * (as_scalar(m) + c5) - LaurentPoly.constant(c6 / 2)
     num = t * (t - 1) * P.derivative() + linear * P
     return SigmaFn(tau.point, num, P)
 
@@ -322,7 +320,7 @@ def via_params(v: VQuad) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     return alpha, beta, gamma, delta
 
 
-def jmo_residual_with_v(N: UniPoly, D: UniPoly, v: VQuad) -> UniPoly:
+def jmo_residual_with_v(N: LaurentPoly, D: LaurentPoly, v: VQuad) -> LaurentPoly:
     """Residual of the second-order quadratic sigma equation for sigma = N/D, given v.
 
     sigma'(t(t-1) sigma'')^2 + (sigma'[2 sigma - (2t-1) sigma'] + v1v2v3v4)^2
@@ -330,21 +328,21 @@ def jmo_residual_with_v(N: UniPoly, D: UniPoly, v: VQuad) -> UniPoly:
     """
     A = N.derivative() * D - N * D.derivative()          # sigma' = A / D^2
     B = A.derivative() * D - 2 * A * D.derivative()      # sigma'' = B / D^3
-    t = UniPoly.t()
+    t = LaurentPoly.t()
     tt1 = t * (t - 1)
-    two_t_minus_1 = UniPoly((-1, 2))
+    two_t_minus_1 = LaurentPoly(0, (-1, 2))
     c = v.product()
     D2 = D * D
     D4 = D2 * D2
     middle = 2 * A * N * D - two_t_minus_1 * (A * A) + c * D4
     lhs = tt1 * tt1 * A * (B * B) + middle * middle
-    rhs = UniPoly.constant(1)
+    rhs = LaurentPoly.constant(1)
     for vk in v.as_tuple():
         rhs = rhs * (A + (vk * vk) * D2)
     return lhs - rhs
 
 
-def jmo_residual(s: SigmaFn) -> UniPoly:
+def jmo_residual(s: SigmaFn) -> LaurentPoly:
     """Residual of the sigma equation at s.point's own v quadruple, times s.den^8."""
     return jmo_residual_with_v(s.num, s.den, v_of_point(s.point))
 
@@ -354,7 +352,7 @@ def jmo_residual(s: SigmaFn) -> UniPoly:
 # ---------------------------------------------------------------------------
 
 def sigma_move_terms(s_a: SigmaFn, s_ik: SigmaFn,
-                     m: MoveIJK) -> tuple[UniPoly, UniPoly, UniPoly]:
+                     m: MoveIJK) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
     """G, Kn and Kd of the sigma-level relation for move m at s_a.point.
 
     K = sa - sik + H = Kn/Kd with Kd = Da Dik and Kn = Na Dik - Nik Da + H Kd.
@@ -369,7 +367,7 @@ def sigma_move_terms(s_a: SigmaFn, s_ik: SigmaFn,
 
 
 def sigma_backlund_residual(s_a: SigmaFn, s_ik: SigmaFn, s_ij: SigmaFn,
-                            s_jk: SigmaFn, m: MoveIJK) -> UniPoly:
+                            s_jk: SigmaFn, m: MoveIJK) -> LaurentPoly:
     """Denominator-free residual of the sigma-level relation:
 
     (sij + sjk - sik - sa - G) * K - t(t-1) * K',  K = sa - sik + H = Kn/Kd,
@@ -391,7 +389,7 @@ def sigma_backlund_residual(s_a: SigmaFn, s_ik: SigmaFn, s_ij: SigmaFn,
                 f"sigma at {s.point} does not sit at {point} for move {m}"
             )
     G, Kn, Kd = sigma_move_terms(s_a, s_ik, m)
-    t = UniPoly.t()
+    t = LaurentPoly.t()
     D_ij_jk = s_ij.den * s_jk.den
     Ln = ((s_ij.num * s_jk.den + s_jk.num * s_ij.den) * Kd
           - (s_ik.num * s_a.den + s_a.num * s_ik.den + G * Kd) * D_ij_jk)
@@ -408,16 +406,12 @@ def iter_move_configurations(table: TauTable, m: MoveIJK):
     vi_k = move_vector(m.i, m.k)
     vi_j = move_vector(m.i, m.j)
     vj_k = move_vector(m.j, m.k)
+    entries = table.entries
     for base in table.points():
-        try:
-            yield (
-                table.get(base),
-                table.get(base + vi_k),
-                table.get(base + vi_j),
-                table.get(base + vj_k),
-            )
-        except MissingTau:
-            continue
+        t_ik, t_ij = entries.get(base + vi_k), entries.get(base + vi_j)
+        t_jk = entries.get(base + vj_k)
+        if t_ik is not None and t_ij is not None and t_jk is not None:
+            yield entries[base], t_ik, t_ij, t_jk
 
 
 def calibrate_eps(table: TauTable) -> EpsTable:

@@ -86,7 +86,7 @@ def _dump_csv(table: TauTable, path: str | None) -> None:
     for p in table.points():
         tau = table.entries[p]
         writer.writerow(list(p.alpha) + [tau.weight, tau.T.min_degree,
-                                         " ".join(str(c) for c in tau.T.coeffs)])
+                                         " ".join(tau.T.to_json()["coeffs"])])
     text = buf.getvalue()
     if path:
         with open(path, "w") as fh:

@@ -12,11 +12,12 @@ Moebius maps of t).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .backlund import SigmaFn, VQuad, sigma_move_terms, toda_product
-from .exactalg import UniPoly, as_scalar
+from .exactalg import LaurentPoly
 from .grassmann import TauT, TauTable, specialize_to_t, tau_in_x
 from .lattice import LatticePoint, MoveIJK, move_vector, r_weight
 
@@ -29,57 +30,55 @@ class MissingPreimage(KeyError):
     """An F4 vector arrived without its 6-index preimage."""
 
 
+def _halves(x: int) -> str:
+    """x / 2 in lowest terms, as Fraction prints it."""
+    return f"{x}/2" if x % 2 else str(x // 2)
+
+
 @dataclass(frozen=True)
 class F4Vector:
     """Point of the affine lattice: integer v0, v1..v4 all integral or all
-    half-odd-integral."""
+    half-odd-integral, stored doubled as the integers twice = (2v1, .., 2v4),
+    all even or all odd."""
 
     v0: int
-    v: tuple[Fraction, Fraction, Fraction, Fraction]
+    twice: tuple[int, int, int, int]
 
     def __post_init__(self):
-        vs = tuple(as_scalar(x) for x in self.v)
-        if any(x.denominator not in (1, 2) for x in vs):
-            raise ValueError(f"entries {vs} are not integers or half-integers")
-        denoms = {x.denominator for x in vs}
-        if len(denoms) != 1:
-            raise ValueError(f"entries {vs} mix integers and half-odd-integers")
-        object.__setattr__(self, "v", vs)
-        object.__setattr__(self, "v0", int(self.v0))
+        w = self.twice
+        if type(self.v0) is not int or len(w) != 4 or any(type(x) is not int for x in w):
+            raise ValueError(f"an F4Vector takes an integer v0 and four integer doubled"
+                             f" entries, got ({self.v0!r}; {w!r})")
+        if len({x % 2 for x in w}) != 1:
+            raise ValueError(f"entries of {self} mix integers and half-odd-integers")
 
     def __add__(self, other: "F4Vector") -> "F4Vector":
-        return F4Vector(self.v0 + other.v0,
-                        tuple(a + b for a, b in zip(self.v, other.v)))
+        return F4Vector(self.v0 + other.v0, tuple(map(operator.add, self.twice, other.twice)))
 
     def __sub__(self, other: "F4Vector") -> "F4Vector":
-        return F4Vector(self.v0 - other.v0,
-                        tuple(a - b for a, b in zip(self.v, other.v)))
+        return F4Vector(self.v0 - other.v0, tuple(map(operator.sub, self.twice, other.twice)))
 
     def __neg__(self) -> "F4Vector":
-        return F4Vector(-self.v0, tuple(-a for a in self.v))
+        return F4Vector(-self.v0, tuple(-x for x in self.twice))
 
     def finite_norm(self) -> Fraction:
         """Squared length of (v1..v4); the v0 direction is null."""
-        return sum(x * x for x in self.v)
+        return Fraction(sum(x * x for x in self.twice), 4)
 
     def to_json(self) -> list:
-        return [self.v0] + [str(x) for x in self.v]
+        return [self.v0] + [_halves(x) for x in self.twice]
 
     def __str__(self):
-        return f"({self.v0}; " + ", ".join(str(x) for x in self.v) + ")"
+        return f"({self.v0}; " + ", ".join(_halves(x) for x in self.twice) + ")"
 
 
 def a5_to_f4(p: LatticePoint) -> F4Vector:
     """v0 = a1, v_i = (a1+a3)/2 + a_{3+i}, v4 = (a1-a3)/2."""
     a = p.alpha
-    half_sum = Fraction(a[0] + a[2], 2)
-    return F4Vector(
-        a[0],
-        (half_sum + a[3], half_sum + a[4], half_sum + a[5], Fraction(a[0] - a[2], 2)),
-    )
+    s = a[0] + a[2]
+    return F4Vector(a[0], (s + 2 * a[3], s + 2 * a[4], s + 2 * a[5], a[0] - a[2]))
 
 
-HALF = Fraction(1, 2)
 E0_F4 = F4Vector(1, (0, 0, 0, 0))
 
 
@@ -87,12 +86,13 @@ E0_F4 = F4Vector(1, (0, 0, 0, 0))
 # simple roots and short-root sets
 # ---------------------------------------------------------------------------
 
+# roots in doubled coordinates
 SIMPLE_ROOT_TABLE: tuple[tuple[F4Vector, LatticePoint], ...] = (
-    (F4Vector(1, (-1, -1, 0, 0)), LatticePoint((1, 3, 1, -2, -2, -1))),      # e0 - e1 - e2
-    (F4Vector(0, (0, 1, -1, 0)), LatticePoint((0, 0, 0, 0, 1, -1))),         # e2 - e3
-    (F4Vector(0, (0, 0, 1, -1)), LatticePoint((0, 0, 2, -1, -1, 0))),        # e3 - e4
-    (F4Vector(0, (0, 0, 0, 1)), LatticePoint((0, -1, -2, 1, 1, 1))),         # e4
-    (F4Vector(0, (HALF, -HALF, -HALF, -HALF)), LatticePoint((0, 1, 1, 0, -1, -1))),
+    (F4Vector(1, (-2, -2, 0, 0)), LatticePoint((1, 3, 1, -2, -2, -1))),      # e0 - e1 - e2
+    (F4Vector(0, (0, 2, -2, 0)), LatticePoint((0, 0, 0, 0, 1, -1))),         # e2 - e3
+    (F4Vector(0, (0, 0, 2, -2)), LatticePoint((0, 0, 2, -1, -1, 0))),        # e3 - e4
+    (F4Vector(0, (0, 0, 0, 2)), LatticePoint((0, -1, -2, 1, 1, 1))),         # e4
+    (F4Vector(0, (1, -1, -1, -1)), LatticePoint((0, 1, 1, 0, -1, -1))),      # (e1-e2-e3-e4)/2
 )
 
 
@@ -159,7 +159,7 @@ def sigma_step(s_a: SigmaFn, s_ik: SigmaFn, s_known: SigmaFn, m: MoveIJK) -> Sig
         raise MissingPreimage(f"{s_known.point} is no ij/jk corner of {m} at {base}")
     target = p_jk if s_known.point == p_ij else p_ij
     G, Kn, Kd = sigma_move_terms(s_a, s_ik, m)
-    t = UniPoly.t()
+    t = LaurentPoly.t()
     dK = Kn.derivative() * Kd - Kn * Kd.derivative()
     total = (s_a.num * s_ik.den + s_ik.num * s_a.den + G * Kd) * Kn + t * (t - 1) * dK
     den = Kd * Kn

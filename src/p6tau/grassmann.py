@@ -516,7 +516,7 @@ def tau_det(point: LatticePoint, frame: FrameMatrix) -> TauT:
     the smallest index and d_j the common denominator of frame row j, gives
     the integer matrix d_j F[j][a] C(k'-m, k-m) x_a^(k'-k).  Its determinant
     is taken by Bareiss at s = 0..R and interpolated in integers (Newton
-    form times R!); one rational scale per coefficient undoes the scalings.
+    form times R!); one common denominator undoes the scalings.
     Every term of det N_c has degree sum(k') - sum(k), which must be R
     (else HomogeneityViolation), so P(x) = det N_c(x) is homogeneous of
     degree R; then P(u, 1+u, s+u) = P(0, 1, s) on the grid u >= 1, u+s <= R
@@ -553,8 +553,7 @@ def tau_det(point: LatticePoint, frame: FrameMatrix) -> TauT:
         num *= math.factorial(k - m)
         den *= denominators[j]
     # s = 1/t: the coefficient of s^n is that of t^-n
-    return TauT(point, LaurentPoly(-weight, [Fraction(num * a, den) for a in reversed(coeffs)]),
-                weight)
+    return TauT(point, LaurentPoly(-weight, [num * a for a in reversed(coeffs)], den), weight)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@ G/H, the charge-ordering sign, and the distinguished translation by
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import UniPoly, as_scalar
+from .exactalg import LaurentPoly, as_scalar
 
 
 @dataclass(frozen=True)
@@ -43,14 +45,22 @@ class LatticePoint:
     def __getitem__(self, i: int) -> int:
         return self.alpha[i]
 
+    @classmethod
+    def _unchecked(cls, alpha: tuple[int, ...]) -> "LatticePoint":
+        """Point from a tuple of six ints known to sum to zero, such as the
+        sum or difference of two points; the constructor's checks are skipped."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "alpha", alpha)
+        return p
+
     def __add__(self, other: "LatticePoint") -> "LatticePoint":
-        return LatticePoint(tuple(a + b for a, b in zip(self.alpha, other.alpha)))
+        return LatticePoint._unchecked(tuple(map(operator.add, self.alpha, other.alpha)))
 
     def __sub__(self, other: "LatticePoint") -> "LatticePoint":
-        return LatticePoint(tuple(a - b for a, b in zip(self.alpha, other.alpha)))
+        return LatticePoint._unchecked(tuple(map(operator.sub, self.alpha, other.alpha)))
 
     def __neg__(self) -> "LatticePoint":
-        return LatticePoint(tuple(-a for a in self.alpha))
+        return LatticePoint._unchecked(tuple(-a for a in self.alpha))
 
     def to_json(self) -> list[int]:
         return list(self.alpha)
@@ -76,6 +86,7 @@ def delta(i: int) -> tuple[int, ...]:
     return tuple(1 if k == i - 1 else 0 for k in range(6))
 
 
+@functools.cache
 def move_vector(i: int, k: int) -> LatticePoint:
     """The root delta_i - delta_k as a lattice point."""
     return LatticePoint(tuple(a - b for a, b in zip(delta(i), delta(k))))
@@ -138,7 +149,7 @@ def n_coeff(p: LatticePoint, m: MoveIJK) -> Fraction:
     return as_scalar(n1) if m.j == 1 else as_scalar(-n1)
 
 
-def gh_polys(j: int, n) -> tuple[UniPoly, UniPoly]:
+def gh_polys(j: int, n) -> tuple[LaurentPoly, LaurentPoly]:
     """First-order corrections (g_j, h_j) entering the log-derivative relation.
 
     g_j = t(t-1) dlog(b_j/(t(t-1)))/dt and h_j = n * t(t-1)/b_j, evaluated for
@@ -146,17 +157,17 @@ def gh_polys(j: int, n) -> tuple[UniPoly, UniPoly]:
     -t/(t-1), whose scaled log-derivative is -1.
     """
     n = as_scalar(n)
-    t = UniPoly.t()
+    t = LaurentPoly.t()
     if j == 1:
-        return UniPoly.zero(), UniPoly.constant(n)
+        return LaurentPoly.zero(), LaurentPoly.constant(n)
     if j == 2:
         return -t, (t - 1) * n
     if j == 3:
-        return UniPoly.constant(-1), UniPoly.zero()
+        return LaurentPoly.constant(-1), LaurentPoly.zero()
     raise ValueError(f"j must lie in 1..3, got {j}")
 
 
-def big_GH(p: LatticePoint, m: MoveIJK) -> tuple[UniPoly, UniPoly]:
+def big_GH(p: LatticePoint, m: MoveIJK) -> tuple[LaurentPoly, LaurentPoly]:
     """First-order polynomials G, H of the sigma-level relation for move m at p.
 
     With D[f] = f(p+di-dj) + f(p+dj-dk) - f(p+di-dk) - f(p) over the move's
@@ -173,9 +184,9 @@ def big_GH(p: LatticePoint, m: MoveIJK) -> tuple[UniPoly, UniPoly]:
     d_c5 = c5ij + c5jk - c5ik - c5a
     d_c6 = c6ij + c6jk - c6ik - c6a
     g, h = gh_polys(m.j, n_coeff(p, m))
-    one_minus_t = UniPoly((1, -1))
-    G = g - one_minus_t * d_c5 - UniPoly.constant(d_c6 / 2)
-    H = h + one_minus_t * (c5a - c5ik) + UniPoly.constant((c6a - c6ik) / 2)
+    one_minus_t = LaurentPoly(0, (1, -1))
+    G = g - one_minus_t * d_c5 - LaurentPoly.constant(d_c6 / 2)
+    H = h + one_minus_t * (c5a - c5ik) + LaurentPoly.constant((c6a - c6ik) / 2)
     return G, H
 
 

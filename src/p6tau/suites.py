@@ -32,7 +32,7 @@ from .backlund import (
     toda_product,
     v_of_point,
 )
-from .exactalg import LaurentPoly, UniPoly
+from .exactalg import LaurentPoly
 from .f4 import (
     TODA_GAMMAS,
     a5_to_f4,
@@ -316,7 +316,7 @@ D4_SAMPLES = (
 
 def suite_symmetry(table: TauTable) -> SuiteReport:
     rep = SuiteReport("symmetry")
-    t = UniPoly.t()
+    t = LaurentPoly.t()
     for p in table.nonzero_points():
         v = v_of_point(p)
         s = sigma_of(table.get(p))

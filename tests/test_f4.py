@@ -24,27 +24,27 @@ from p6tau.grassmann import MissingTau
 from p6tau.lattice import E0_VECTOR, LatticePoint, MoveIJK, ball, e0_translate, move_vector
 
 ORIGIN = LatticePoint((0, 0, 0, 0, 0, 0))
-HALF = Fraction(1, 2)
-E1 = F4Vector(0, (1, 0, 0, 0))
-E2 = F4Vector(0, (0, 1, 0, 0))
-E3 = F4Vector(0, (0, 0, 1, 0))
-E4 = F4Vector(0, (0, 0, 0, 1))
+# F4Vector(v0, (2v1, 2v2, 2v3, 2v4)): the entries are stored doubled
+E1 = F4Vector(0, (2, 0, 0, 0))
+E2 = F4Vector(0, (0, 2, 0, 0))
+E3 = F4Vector(0, (0, 0, 2, 0))
+E4 = F4Vector(0, (0, 0, 0, 2))
 
 
 def test_membership_rule_enforced():
-    F4Vector(2, (HALF, HALF, -HALF, HALF))
-    F4Vector(0, (1, 0, -2, 3))
+    F4Vector(2, (1, 1, -1, 1))
+    F4Vector(0, (2, 0, -4, 6))
     with pytest.raises(ValueError):
-        F4Vector(0, (HALF, 0, 0, 0))
+        F4Vector(0, (1, 0, 0, 0))
     with pytest.raises(ValueError):
-        F4Vector(0, (Fraction(1, 3), 0, 0, 0))
+        F4Vector(0, (Fraction(2, 3), 0, 0, 0))
 
 
 def test_a5_to_f4_examples():
     assert a5_to_f4(ORIGIN) == F4Vector(0, (0, 0, 0, 0))
     assert a5_to_f4(move_vector(5, 6)) == E2 - E3
     p = LatticePoint((0, 1, 1, 0, -1, -1))
-    assert a5_to_f4(p) == F4Vector(0, (HALF, -HALF, -HALF, -HALF))
+    assert a5_to_f4(p) == F4Vector(0, (1, -1, -1, -1))
 
 
 def test_e0_identities():
@@ -83,10 +83,10 @@ def test_short_sets_contents():
     for e in (E1, E2, E3):
         assert e in s2.elements
     assert E0_F4 + E4 in s3.elements
-    half_combo = F4Vector(0, (-HALF, -HALF, -HALF, HALF))
+    half_combo = F4Vector(0, (-1, -1, -1, 1))
     assert half_combo in s3.elements
     assert E0_F4 + E4 in s1.elements
-    assert E0_F4 + F4Vector(0, (HALF, HALF, HALF, HALF)) in s1.elements
+    assert E0_F4 + F4Vector(0, (1, 1, 1, 1)) in s1.elements
 
 
 def _nonzero_squares(table, m):
@@ -147,8 +147,8 @@ def test_toda_gamma_table_covers_three_lines():
     assert pairs == {(1, 2), (1, 3), (2, 3)}
     # the three tabulated step vectors match their stated images
     gammas = {tuple(vec.to_json()) for vec, _ in TODA_GAMMAS}
-    assert tuple((E0_F4 + F4Vector(0, (HALF, HALF, HALF, HALF))).to_json()) in gammas
-    assert tuple(F4Vector(0, (HALF, HALF, HALF, -HALF)).to_json()) in gammas
+    assert tuple((E0_F4 + F4Vector(0, (1, 1, 1, 1))).to_json()) in gammas
+    assert tuple(F4Vector(0, (1, 1, 1, -1)).to_json()) in gammas
     assert tuple((E0_F4 + E4).to_json()) in gammas
 
 

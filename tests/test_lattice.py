@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from p6tau.exactalg import UniPoly
+from p6tau.exactalg import LaurentPoly
 from p6tau.lattice import (
     E0_VECTOR,
     LatticePoint,
@@ -19,7 +19,7 @@ from p6tau.lattice import (
     r_weight,
 )
 
-T = UniPoly.t()
+T = LaurentPoly.t()
 
 
 def lattice_points(span=3):
@@ -80,14 +80,14 @@ def test_n_coeff_antisymmetry(p, m):
 
 def test_gh_polys():
     g, h = gh_polys(1, 2)
-    assert g.is_zero() and h == UniPoly.constant(2)
+    assert g.is_zero() and h == LaurentPoly.constant(2)
     g, h = gh_polys(2, 0)
     assert g == -T and h.is_zero()
     g, h = gh_polys(2, 3)
     assert h == 3 * (T - 1)
     # j = 3: the quotient b_3/(t(t-1)) = -t/(t-1) has scaled log-derivative -1
     g, h = gh_polys(3, 5)
-    assert g == UniPoly.constant(-1) and h.is_zero()
+    assert g == LaurentPoly.constant(-1) and h.is_zero()
 
 
 def test_big_gh_frozen_values():
@@ -106,8 +106,8 @@ def test_big_gh_frozen_values():
     d6 = c6["ij"] + c6["jk"] - c6["ik"] - c6["a"]
     assert (d5, d6) == (Fraction(-1, 2), Fraction(0))
     G, H = big_GH(zero, m)
-    assert G == UniPoly((Fraction(1, 2), Fraction(-1, 2)))
-    assert H == UniPoly.constant(Fraction(1, 2))
+    assert G == LaurentPoly(0, (Fraction(1, 2), Fraction(-1, 2)))
+    assert H == LaurentPoly.constant(Fraction(1, 2))
 
 
 def test_big_gh_reduces_to_gh_when_its_differences_vanish():

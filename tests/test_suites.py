@@ -1,11 +1,13 @@
 from dataclasses import replace
+from fractions import Fraction
 
 from p6tau import grassmann, suites
+from p6tau.backlund import bilinear_residual, calibrate_eps, iter_move_configurations
 from p6tau.exactalg import LaurentPoly
-from p6tau.grassmann import TauTable
-from p6tau.lattice import LatticePoint
-from p6tau.suites import (perturb_table, suite_f4, suite_homogeneity, suite_jmo,
-                          suite_sigma_backlund, suite_vacuum_charge)
+from p6tau.grassmann import FrameMatrix, TauTable
+from p6tau.lattice import LatticePoint, all_moves
+from p6tau.suites import (perturb_table, suite_bilinear, suite_f4, suite_homogeneity,
+                          suite_jmo, suite_sigma_backlund, suite_vacuum_charge)
 
 
 def _inject(monkeypatch, bad_mu, charges):
@@ -70,3 +72,31 @@ def test_sigma_level_suites_record_failures_on_perturbed_tables(table2):
     # -10 + 5/t still solves the sigma equation at p, so jmo needs another probe
     jmo = suite_jmo(perturb_table(table2, LatticePoint((0, 0, 0, -2, 0, 2))))
     assert [f["point"] for f in jmo.failures] == [[0, 0, 0, -2, 0, 2]]
+
+
+def test_smallest_perturbation_on_a_dense_frame_is_caught():
+    """A bump of 1/(10^40 den) to one coefficient, on a frame whose taus
+    carry unreduced denominators of about 150 bits, is still no zero."""
+    f = Fraction
+    frame = FrameMatrix([[f(59, 75), f(-73, 87), f(-82, 63)],
+                         [f(54, 65), f(-85, 77), f(-86, 57)],
+                         [f(-86, 87), f(53, 64), f(-85, 58)]])
+    table = TauTable.build(frame, 2)
+    assert suite_bilinear(table).passed and suite_jmo(table).passed
+    p = next(q for q in table.points() if sum(1 for c in table.get(q).T.coeffs if c) >= 3)
+    T = table.get(p).T
+    bump = Fraction(1, 10 ** 40 * T.den)
+    broken = perturb_table(table, p, bump)
+    assert broken.get(p).T - T == LaurentPoly.monomial(bump, T.min_degree)
+    eps = calibrate_eps(table)
+    residuals = [bilinear_residual(*taus, m, eps[m]) for m in all_moves()
+                 for taus in iter_move_configurations(broken, m)
+                 if p in {t.point for t in taus}]
+    assert residuals and any(not r.is_zero() for r in residuals)
+    # after a JSON round trip each tau is held over the lcm of its reduced
+    # coefficients' denominators, not over the determinant's denominator
+    assert TauTable.from_json(table.to_json()).get(p).T.den < T.den
+    reloaded = TauTable.from_json(broken.to_json(), frame=frame, radius=2)
+    for twisted in (broken, reloaded):
+        assert suite_bilinear(twisted).failures
+        assert [x["point"] for x in suite_jmo(twisted).failures] == [p.to_json()]
