@@ -8,12 +8,18 @@ the sigma-level relation with first-order corrections G and H.  Residuals are
 exact Laurent polynomials, or, for the sigma-level identities, polynomials in t
 with every denominator cleared (each residual's docstring names its clearing
 factor); a relation holds iff its residual is literally zero.
+
+Sweeps find their configurations (move squares, six-point stencils, Toda
+neighbours) through a PointIndex, which keys every point of one table by an
+integer, so that a step along a root is an integer addition.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactalg import LaurentPoly, as_scalar, poly_gcd
 from .grassmann import TauT, TauTable
@@ -23,6 +29,7 @@ from .lattice import (
     all_moves,
     big_GH,
     c5_c6,
+    delta,
     move_vector,
     n_coeff,
     r_weight,
@@ -130,6 +137,63 @@ class EpsTable:
 
 
 # ---------------------------------------------------------------------------
+# integer point keys and move squares
+# ---------------------------------------------------------------------------
+
+class PointIndex:
+    """Injective integer keys for the points of one table, so that a unit
+    move is one integer addition and a lookup one dict.get.
+
+    key(a) = sum_r a_r W^(6-r) is the number with the balanced base-W digits
+    a_1..a_6, W = 2B + 1, where B exceeds every coordinate of the table by 2.
+    It is additive, key(p + v) = key(p) + key(v), injective on the vectors
+    whose entries lie in [-B, B], which holds every point within two unit
+    steps of the table, and ordered like the points' coordinate tuples.  An
+    index reads the table's entries once; sweeps build their own, so a table
+    that grew since can never be read through a stale one.
+    """
+
+    def __init__(self, table: TauTable):
+        bound = 2 + max((abs(a) for p in table.entries for a in p.alpha), default=0)
+        self.width = 2 * bound + 1
+        self.taus: dict[int, TauT] = {self.key(p.alpha): tau for p, tau in table.entries.items()}
+        self.bases = sorted(self.taus)  # table.points() order
+
+    def key(self, vector) -> int:
+        k = 0
+        for a in vector:
+            k = k * self.width + a
+        return k
+
+    def shift(self, i: int, k: int) -> int:
+        """key of the move vector delta_i - delta_k."""
+        return self.width ** (6 - i) - self.width ** (6 - k)
+
+
+def iter_move_squares(index: PointIndex, moves=None):
+    """(m, (a, ik, ij, jk)) with the keys of the four corners, for every move
+    square whose four taus the indexed table holds.  Moves come in the order
+    given (all_moves() by default), bases in table.points() order."""
+    taus = index.taus
+    for m in all_moves() if moves is None else moves:
+        v_ik, v_ij, v_jk = index.shift(m.i, m.k), index.shift(m.i, m.j), index.shift(m.j, m.k)
+        for a in index.bases:
+            if a + v_ik in taus and a + v_ij in taus and a + v_jk in taus:
+                yield m, (a, a + v_ik, a + v_ij, a + v_jk)
+
+
+def iter_move_configurations(table: TauTable, m: MoveIJK, index: PointIndex | None = None):
+    """All (Ta, Tik, Tij, Tjk) quadruples of the move fully inside the table,
+    bases in table.points() order.  A sweep over several moves passes the
+    table's index, built once."""
+    if index is None:
+        index = PointIndex(table)
+    taus = index.taus
+    for _, keys in iter_move_squares(index, (m,)):
+        yield tuple(taus[k] for k in keys)
+
+
+# ---------------------------------------------------------------------------
 # Toda lines
 # ---------------------------------------------------------------------------
 
@@ -160,12 +224,6 @@ def toda_product(tau: TauT, pair: tuple[int, int]) -> LaurentPoly:
     if pair == (2, 3):
         return t2 * (t * dT * dT - T * (dT + t * ddT))
     raise ValueError(f"pair must be one of {TODA_PAIRS}, got {pair}")
-
-
-def toda_neighbors(point: LatticePoint, pair: tuple[int, int]):
-    a, b = pair
-    v = move_vector(a, b)
-    return point + v, point - v
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +299,45 @@ def eps_block_inversions(i: int, j: int, k: int) -> int:
     return -1 if inversions % 2 else 1
 
 
+class MiwaStencil(NamedTuple):
+    """One six-point residual  s1 A1 B1 + s2 A2 B2 + s3 A3 B3,  where each
+    factor is the tau at base + d_a + d_b for its pair (a, b) of `pairs`
+    (A1, B1, A2, B2, A3, B3).  `indices` is (ell,) for the first identity and
+    (k, ell, i, j) for the second."""
+
+    identity: int
+    indices: tuple[int, ...]
+    signs: tuple[int, int, int]
+    pairs: tuple[tuple[int, int], ...]
+
+
+def _first_stencil(ell: int) -> MiwaStencil:
+    return MiwaStencil(1, (ell,), (1, -1, 1),
+                       ((2, 3), (1, ell), (1, 3), (2, ell), (1, 2), (3, ell)))
+
+
+def _second_stencil(k: int, ell: int, i: int, j: int) -> MiwaStencil:
+    return MiwaStencil(2, (k, ell, i, j),
+                       (eps_pair(k, ell), eps_pair(ell, k), eps_pair(j - 3, i - 3)),
+                       ((ell, i), (k, j), (k, i), (ell, j), (k, ell), (i, j)))
+
+
+# every six-point residual at one base, in the order the miwa suite checks them
+MIWA_STENCILS = tuple(
+    [_first_stencil(ell) for ell in (4, 5, 6)]
+    + [_second_stencil(k, ell, i, j)
+       for k, ell in itertools.permutations((1, 2, 3), 2)
+       for i, j in itertools.permutations((4, 5, 6), 2)]
+)
+
+
+def stencil_residual(stencil: MiwaStencil, polys) -> LaurentPoly:
+    """The stencil's residual from its six tau polynomials (A1, B1, .., B3)."""
+    s1, s2, s3 = stencil.signs
+    A1, B1, A2, B2, A3, B3 = polys
+    return s1 * (A1 * B1) + s2 * (A2 * B2) + s3 * (A3 * B3)
+
+
 def _six_point_lookup(table: TauTable, base):
     """at(i, j): the tau at base + delta_i + delta_j.  base is a raw 6-vector
     whose entries sum to -2, checked here once, so every such point is a
@@ -264,7 +361,8 @@ def miwa_first_residual(table: TauTable, base, ell: int) -> LaurentPoly:
     if not 4 <= ell <= 6:
         raise ValueError(f"ell must lie in 4..6, got {ell}")
     at = _six_point_lookup(table, base)
-    return at(2, 3) * at(1, ell) - at(1, 3) * at(2, ell) + at(1, 2) * at(3, ell)
+    stencil = _first_stencil(ell)
+    return stencil_residual(stencil, [at(*pair) for pair in stencil.pairs])
 
 
 def miwa_second_residual(table: TauTable, base, k: int, ell: int, i: int, j: int) -> LaurentPoly:
@@ -274,11 +372,27 @@ def miwa_second_residual(table: TauTable, base, k: int, ell: int, i: int, j: int
     if not (4 <= i <= 6 and 4 <= j <= 6 and i != j):
         raise ValueError(f"need distinct i, j in 4..6, got ({i},{j})")
     at = _six_point_lookup(table, base)
-    return (
-        eps_pair(k, ell) * at(ell, i) * at(k, j)
-        + eps_pair(ell, k) * at(k, i) * at(ell, j)
-        + eps_pair(j - 3, i - 3) * at(k, ell) * at(i, j)
-    )
+    stencil = _second_stencil(k, ell, i, j)
+    return stencil_residual(stencil, [at(*pair) for pair in stencil.pairs])
+
+
+def iter_miwa_stencils(index: PointIndex, bases):
+    """(base, stencil, polys) for every stencil of MIWA_STENCILS at every
+    base whose six taus the indexed table holds, polys being those six tau
+    polynomials in the stencil's order.  The 15 points base + d_a + d_b are
+    looked up once per base; a stencil with an absent tau is skipped."""
+    units = [index.key(delta(i)) for i in range(1, 7)]
+    taus = index.taus
+    for base in bases:
+        kb = index.key(base)
+        found = {}
+        for a, b in itertools.combinations(range(1, 7), 2):
+            tau = taus.get(kb + units[a - 1] + units[b - 1])
+            if tau is not None:
+                found[a, b] = found[b, a] = tau.T
+        for stencil in MIWA_STENCILS:
+            if all(pair in found for pair in stencil.pairs):
+                yield base, stencil, [found[pair] for pair in stencil.pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -401,17 +515,45 @@ def sigma_backlund_residual(s_a: SigmaFn, s_ik: SigmaFn, s_ij: SigmaFn,
 # sign calibration
 # ---------------------------------------------------------------------------
 
-def iter_move_configurations(table: TauTable, m: MoveIJK):
-    """All (Ta, Tik, Tij, Tjk) quadruples of the move fully inside the table."""
-    vi_k = move_vector(m.i, m.k)
-    vi_j = move_vector(m.i, m.j)
-    vj_k = move_vector(m.j, m.k)
-    entries = table.entries
-    for base in table.points():
-        t_ik, t_ij = entries.get(base + vi_k), entries.get(base + vi_j)
-        t_jk = entries.get(base + vj_k)
-        if t_ik is not None and t_ij is not None and t_jk is not None:
-            yield entries[base], t_ik, t_ij, t_jk
+def iter_bilinear_sides(table: TauTable):
+    """(m, sides) for every move in all_moves() order, where sides lists
+    (Ta, Tij, Tjk, L, P) for each square of the move: L is the left side
+    bilinear_combination(Ta, Tik, m) and P = Tij Tjk the right side without
+    its sign."""
+    index = PointIndex(table)
+    for m in all_moves():
+        sides = [(t_a, t_ij, t_jk, bilinear_combination(t_a, t_ik, m), t_ij.T * t_jk.T)
+                 for t_a, t_ik, t_ij, t_jk in iter_move_configurations(table, m, index)]
+        yield m, sides
+
+
+def move_sign(m: MoveIJK, sides) -> int:
+    """The one sign eps with L = eps P on every square of the move.
+
+    A point-dependent sign or an unmatchable square raises NoConsistentSign,
+    a move without a square of nonzero P InsufficientData.
+    """
+    sign = None
+    for t_a, _, _, lhs, rhs in sides:
+        if rhs.is_zero():
+            if not lhs.is_zero():
+                raise NoConsistentSign(
+                    f"move {m} at {t_a.point}: left side nonzero, product zero"
+                )
+            continue
+        if lhs == rhs:
+            found = 1
+        elif lhs == -rhs:
+            found = -1
+        else:
+            raise NoConsistentSign(f"move {m} at {t_a.point}: no sign matches")
+        if sign is None:
+            sign = found
+        elif sign != found:
+            raise NoConsistentSign(f"move {m}: sign depends on the base point")
+    if sign is None:
+        raise InsufficientData(f"no informative configuration for move {m}")
+    return sign
 
 
 def calibrate_eps(table: TauTable) -> EpsTable:
@@ -421,29 +563,5 @@ def calibrate_eps(table: TauTable) -> EpsTable:
     an unmatchable configuration raises NoConsistentSign, an uninformative
     table (no configuration with a nonzero right side) InsufficientData.
     """
-    signs: dict[tuple[int, int, int], int] = {}
-    for m in all_moves():
-        sign = None
-        for t_a, t_ik, t_ij, t_jk in iter_move_configurations(table, m):
-            lhs = bilinear_combination(t_a, t_ik, m)
-            rhs = t_ij.T * t_jk.T
-            if rhs.is_zero():
-                if not lhs.is_zero():
-                    raise NoConsistentSign(
-                        f"move {m} at {t_a.point}: left side nonzero, product zero"
-                    )
-                continue
-            if lhs == rhs:
-                found = 1
-            elif lhs == -rhs:
-                found = -1
-            else:
-                raise NoConsistentSign(f"move {m} at {t_a.point}: no sign matches")
-            if sign is None:
-                sign = found
-            elif sign != found:
-                raise NoConsistentSign(f"move {m}: sign depends on the base point")
-        if sign is None:
-            raise InsufficientData(f"no informative configuration for move {m}")
-        signs[(m.i, m.j, m.k)] = sign
-    return EpsTable(signs)
+    return EpsTable({(m.i, m.j, m.k): move_sign(m, sides)
+                     for m, sides in iter_bilinear_sides(table)})

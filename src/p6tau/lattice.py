@@ -124,10 +124,18 @@ def all_moves() -> list[MoveIJK]:
 # weight and scalar data attached to a point
 # ---------------------------------------------------------------------------
 
+def _twice_r(a) -> int:
+    return a[3] ** 2 + a[4] ** 2 + a[5] ** 2 - a[0] ** 2 - a[1] ** 2 - a[2] ** 2
+
+
+def _c5_c6_times_4(a) -> tuple[int, int]:
+    """(4 c5, 4 c6) at any integer 6-vector a: two quadratic forms in a."""
+    return -(a[0] - a[2]) ** 2, 2 * _twice_r(a) + 2 * (a[0] - a[1]) * (a[0] - a[2])
+
+
 def r_weight(p: LatticePoint) -> int:
     """Weight (a4^2+a5^2+a6^2-a1^2-a2^2-a3^2)/2; integral on the zero-sum lattice."""
-    a = p.alpha
-    twice = a[3] ** 2 + a[4] ** 2 + a[5] ** 2 - a[0] ** 2 - a[1] ** 2 - a[2] ** 2
+    twice = _twice_r(p.alpha)
     if twice % 2:
         raise ArithmeticError(f"weight of {p} is not an integer")
     return twice // 2
@@ -135,10 +143,8 @@ def r_weight(p: LatticePoint) -> int:
 
 def c5_c6(p: LatticePoint) -> tuple[Fraction, Fraction]:
     """The two constants shifting the log-derivative into the sigma function."""
-    a = p.alpha
-    c5 = -Fraction((a[0] - a[2]) ** 2, 4)
-    c6 = as_scalar(r_weight(p)) + Fraction((a[0] - a[1]) * (a[0] - a[2]), 2)
-    return c5, c6
+    c5, c6 = _c5_c6_times_4(p.alpha)
+    return Fraction(c5, 4), Fraction(c6, 4)
 
 
 def n_coeff(p: LatticePoint, m: MoveIJK) -> Fraction:
@@ -167,27 +173,45 @@ def gh_polys(j: int, n) -> tuple[LaurentPoly, LaurentPoly]:
     raise ValueError(f"j must lie in 1..3, got {j}")
 
 
+def _linear_poly(c0: int, c1: int, den: int) -> LaurentPoly:
+    """(c0 + c1 t) / den with the common content taken out."""
+    g = math.gcd(c0, c1, den)
+    return LaurentPoly(0, (c0 // g, c1 // g), den // g)
+
+
+def _h_times_8(a, m: MoveIJK) -> tuple[int, int]:
+    """Constant and t coefficient of 8 H = 8 h_j + 2 d[4 c5] (1-t) + d[4 c6]
+    for move m at the integer 6-vector a."""
+    ik = tuple(map(operator.add, a, move_vector(m.i, m.k).alpha))
+    (c5a, c6a), (c5ik, c6ik) = _c5_c6_times_4(a), _c5_c6_times_4(ik)
+    n8 = 4 * (_twice_r(ik) - _twice_r(a))                       # 8 n1
+    h0, h1 = {1: (n8, 0), 2: (n8, -n8), 3: (0, 0)}[m.j]         # 8 h_j
+    return h0 + 2 * (c5a - c5ik) + c6a - c6ik, h1 - 2 * (c5a - c5ik)
+
+
+@functools.cache
+def _move_G(m: MoveIJK) -> LaurentPoly:
+    """G of move m.  c5 and c6 are quadratic in the point and the move's
+    square closes (di-dj + dj-dk = di-dk), so their second difference D over
+    the square is a constant of the move, read off at the zero vector."""
+    c = [_c5_c6_times_4(v) for v in ((0,) * 6, move_vector(m.i, m.j).alpha,
+                                      move_vector(m.j, m.k).alpha,
+                                      move_vector(m.i, m.k).alpha)]
+    d5 = c[1][0] + c[2][0] - c[3][0] - c[0][0]                  # 4 D[c5]
+    d6 = c[1][1] + c[2][1] - c[3][1] - c[0][1]                  # 4 D[c6]
+    g, _ = gh_polys(m.j, 0)
+    return g - _linear_poly(2 * d5 + d6, -2 * d5, 8)            # g_j - D[c5](1-t) - D[c6]/2
+
+
 def big_GH(p: LatticePoint, m: MoveIJK) -> tuple[LaurentPoly, LaurentPoly]:
     """First-order polynomials G, H of the sigma-level relation for move m at p.
 
     With D[f] = f(p+di-dj) + f(p+dj-dk) - f(p+di-dk) - f(p) over the move's
     four points:  G = g_j - D[c5](1-t) - D[c6]/2, and with d[f] = f(p) -
-    f(p+di-dk):  H = h_j + d[c5](1-t) + d[c6]/2.
+    f(p+di-dk):  H = h_j + d[c5](1-t) + d[c6]/2.  G depends on the move
+    alone and is computed once per move; H is computed in integers.
     """
-    p_ij = p + move_vector(m.i, m.j)
-    p_jk = p + move_vector(m.j, m.k)
-    p_ik = p + move_vector(m.i, m.k)
-    c5a, c6a = c5_c6(p)
-    c5ij, c6ij = c5_c6(p_ij)
-    c5jk, c6jk = c5_c6(p_jk)
-    c5ik, c6ik = c5_c6(p_ik)
-    d_c5 = c5ij + c5jk - c5ik - c5a
-    d_c6 = c6ij + c6jk - c6ik - c6a
-    g, h = gh_polys(m.j, n_coeff(p, m))
-    one_minus_t = LaurentPoly(0, (1, -1))
-    G = g - one_minus_t * d_c5 - LaurentPoly.constant(d_c6 / 2)
-    H = h + one_minus_t * (c5a - c5ik) + LaurentPoly.constant((c6a - c6ik) / 2)
-    return G, H
+    return _move_G(m), _linear_poly(*_h_times_8(p.alpha, m), 8)
 
 
 def e0_translate(p: LatticePoint) -> tuple[LatticePoint, int]:

@@ -13,22 +13,23 @@ from dataclasses import dataclass, field
 
 from .backlund import (
     DegenerateK,
+    EpsTable,
     InsufficientData,
     NoConsistentSign,
+    PointIndex,
     TODA_PAIRS,
     bilinear_residual,
-    calibrate_eps,
     eps_block_inversions,
-    iter_move_configurations,
+    iter_bilinear_sides,
+    iter_miwa_stencils,
+    iter_move_squares,
     jmo_residual,
     jmo_residual_with_v,
-    miwa_first_residual,
-    miwa_second_residual,
+    move_sign,
     sigma_backlund_residual,
     sigma_difference,
     sigma_of,
-    solve_fourth,
-    toda_neighbors,
+    stencil_residual,
     toda_product,
     v_of_point,
 )
@@ -44,9 +45,8 @@ from .f4 import (
     table_families,
     toda_step_f4,
 )
-from .grassmann import (MissingTau, TauT, TauTable, expand_wedge, tau_in_x,
-                        translation_gradient)
-from .lattice import LatticePoint, all_moves, ball, e0_translate, move_vector, r_weight
+from .grassmann import TauT, TauTable, expand_wedge, tau_in_x, translation_gradient
+from .lattice import LatticePoint, all_moves, ball, e0_translate, r_weight
 
 
 @dataclass
@@ -129,43 +129,49 @@ def suite_homogeneity(table: TauTable) -> SuiteReport:
 
 def suite_toda(table: TauTable) -> SuiteReport:
     rep = SuiteReport("toda")
-    for p in table.points():
-        tau = table.get(p)
-        for pair in TODA_PAIRS:
-            plus, minus = toda_neighbors(p, pair)
-            try:
-                t_plus, t_minus = table.get(plus), table.get(minus)
-            except MissingTau:
+    index = PointIndex(table)
+    taus = index.taus
+    lines = [(pair, index.shift(*pair)) for pair in TODA_PAIRS]
+    for k in index.bases:
+        tau = taus[k]
+        for pair, v in lines:
+            t_plus, t_minus = taus.get(k + v), taus.get(k - v)
+            if t_plus is None or t_minus is None:
                 continue
             residual = toda_product(tau, pair) - t_plus.T * t_minus.T
             rep.record(residual.is_zero(), _terms(residual),
-                       point=p.to_json(), pair=list(pair))
+                       point=tau.point.to_json(), pair=list(pair))
     return rep
 
 
 def suite_bilinear(table: TauTable) -> SuiteReport:
+    """The bilinear relation on every move square, in one pass: per move, the
+    sign is calibrated from the squares' (L, P) pairs, then each square checks
+    L - eps P and the solve-fourth division L / (eps Tij) against Tjk.  A
+    calibration failure replaces the whole report, with calibrate_eps's error."""
     rep = SuiteReport("bilinear")
+    signs = {}
     try:
-        eps = calibrate_eps(table)
+        for m, sides in iter_bilinear_sides(table):
+            sign = signs[(m.i, m.j, m.k)] = move_sign(m, sides)
+            for t_a, t_ij, t_jk, lhs, rhs in sides:
+                residual = lhs - sign * rhs
+                rep.record(residual.is_zero(), _terms(residual),
+                           move=[m.i, m.j, m.k], base=t_a.point.to_json())
+                if not t_ij.is_zero():
+                    solved = lhs.exact_divide(sign * t_ij.T)
+                    rep.record(solved == t_jk.T, _terms(solved - t_jk.T), check="solve-fourth",
+                               move=[m.i, m.j, m.k], base=t_a.point.to_json())
     except (NoConsistentSign, InsufficientData) as exc:
+        rep = SuiteReport("bilinear")
         rep.record(False, 1, check="calibration", error=str(exc))
         return rep
+    eps = EpsTable(signs)
     rep.notes["eps_table"] = eps.to_json()
     formula_matches = all(
         eps[(m.i, m.j, m.k)] == eps_block_inversions(m.i, m.j, m.k) for m in all_moves()
     )
     rep.notes["eps_matches_closed_form"] = formula_matches
-    for m in all_moves():
-        sign = eps[(m.i, m.j, m.k)]
-        for t_a, t_ik, t_ij, t_jk in iter_move_configurations(table, m):
-            residual = bilinear_residual(t_a, t_ik, t_ij, t_jk, m, sign)
-            rep.record(residual.is_zero(), _terms(residual),
-                       move=[m.i, m.j, m.k], base=t_a.point.to_json())
-            if not t_ij.is_zero():
-                solved = solve_fourth(t_a, t_ik, t_ij, m, sign)
-                rep.record(solved.T == t_jk.T, _terms(solved.T - t_jk.T),
-                           check="solve-fourth", move=[m.i, m.j, m.k],
-                           base=t_a.point.to_json())
     if not formula_matches:
         rep.record(False, 0, check="eps-closed-form")
     return rep
@@ -186,21 +192,14 @@ def miwa_bases(table: TauTable):
 
 def suite_miwa(table: TauTable) -> SuiteReport:
     rep = SuiteReport("miwa")
-    for base in miwa_bases(table):
-        for ell in (4, 5, 6):
-            try:
-                res = miwa_first_residual(table, base, ell)
-            except MissingTau:
-                continue
-            rep.record(res.is_zero(), _terms(res), identity=1, base=list(base), ell=ell)
-        for k, ell in itertools.permutations((1, 2, 3), 2):
-            for i, j in itertools.permutations((4, 5, 6), 2):
-                try:
-                    res = miwa_second_residual(table, base, k, ell, i, j)
-                except MissingTau:
-                    continue
-                rep.record(res.is_zero(), _terms(res), identity=2, base=list(base),
-                           indices=[k, ell, i, j])
+    for base, stencil, polys in iter_miwa_stencils(PointIndex(table), miwa_bases(table)):
+        res = stencil_residual(stencil, polys)
+        if stencil.identity == 1:
+            labels = {"ell": stencil.indices[0]}
+        else:
+            labels = {"indices": list(stencil.indices)}
+        rep.record(res.is_zero(), _terms(res), identity=stencil.identity, base=list(base),
+                   **labels)
     return rep
 
 
@@ -221,22 +220,22 @@ def suite_jmo(table: TauTable) -> SuiteReport:
     return rep
 
 
-def _sigma_squares(table: TauTable):
+def _sigma_squares(index: PointIndex):
     """(move, taus, sigmas) of every move square whose four taus are nonzero.
 
     Sigma is computed once per nonzero point of the table, not per square.
     """
-    sigma = {p: sigma_of(table.get(p)) for p in table.nonzero_points()}
-    for m in all_moves():
-        for taus in iter_move_configurations(table, m):
-            if all(t.point in sigma for t in taus):
-                yield m, taus, tuple(sigma[t.point] for t in taus)
+    taus = index.taus
+    sigma = {k: sigma_of(taus[k]) for k in index.bases if not taus[k].is_zero()}
+    for m, keys in iter_move_squares(index):
+        if all(k in sigma for k in keys):
+            yield m, tuple(taus[k] for k in keys), tuple(sigma[k] for k in keys)
 
 
 def suite_sigma_backlund(table: TauTable) -> SuiteReport:
     rep = SuiteReport("sigma-backlund")
     degenerate = 0
-    for m, taus, s in _sigma_squares(table):
+    for m, taus, s in _sigma_squares(PointIndex(table)):
         try:
             res = sigma_backlund_residual(*s, m)
         except DegenerateK:
@@ -257,6 +256,14 @@ def suite_sigma_backlund(table: TauTable) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 def suite_f4(table: TauTable) -> SuiteReport:
+    """The F4 correspondence on the table: membership of each point's image,
+    the simple roots, the short-root sets, and Toda and sigma steps round-trip.
+
+    The membership check cannot fail: a5_to_f4 writes the doubled coordinates
+    (a1+a3)+2a_{3+i} and a1-a3, which always share their parity, so every
+    lattice point has an image.  It is kept, one check per point, as the
+    record that every point of the table was mapped.
+    """
     rep = SuiteReport("f4")
     for p in table.points():
         try:
@@ -276,25 +283,23 @@ def suite_f4(table: TauTable) -> SuiteReport:
         {"gamma": vec.to_json(), "pair": list(pair)} for vec, pair in TODA_GAMMAS
     ]
     # Toda steps round-trip
+    index = PointIndex(table)
+    taus = index.taus
     for vec, pair in TODA_GAMMAS:
-        a, b = pair
-        v = move_vector(a, b)
-        for p in table.points():
-            t_beta = table.get(p)
+        v = index.shift(*pair)
+        for k in index.bases:
+            t_beta = taus[k]
             if t_beta.is_zero():
                 continue
-            try:
-                t_plus, t_minus = table.get(p + v), table.get(p - v)
-            except MissingTau:
-                continue
-            if t_plus.is_zero():
+            t_plus, t_minus = taus.get(k + v), taus.get(k - v)
+            if t_plus is None or t_minus is None or t_plus.is_zero():
                 continue
             stepped = toda_step_f4(t_beta, t_plus, vec)
             rep.record(stepped.T == t_minus.T, _terms(stepped.T - t_minus.T),
-                       check="toda-step", point=p.to_json(), pair=list(pair))
+                       check="toda-step", point=t_beta.point.to_json(), pair=list(pair))
     # sigma steps round-trip: a step along (g1, g2) in S_j is the move (i, j, k)
     # with d_i - d_k = pre(g1) - pre(g2), so every move square is one step
-    for m, _, (s_a, s_ik, s_ij, s_jk) in _sigma_squares(table):
+    for m, _, (s_a, s_ik, s_ij, s_jk) in _sigma_squares(index):
         try:
             got = sigma_step(s_a, s_ik, s_ij, m)
         except DegenerateK:

@@ -1,6 +1,11 @@
+import operator
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+from p6tau import cli
 
 from p6tau.exactalg import LaurentPoly, NotDivisible
 from p6tau.backlund import (
@@ -8,8 +13,10 @@ from p6tau.backlund import (
     DegenerateK,
     DirectionalDerivative,
     EpsTable,
+    MIWA_STENCILS,
     MoveIJK,
     NoConsistentSign,
+    PointIndex,
     SigmaFn,
     TODA_PAIRS,
     VQuad,
@@ -19,7 +26,9 @@ from p6tau.backlund import (
     calibrate_eps,
     eps_block_inversions,
     eps_pair,
+    iter_miwa_stencils,
     iter_move_configurations,
+    iter_move_squares,
     jmo_residual,
     miwa_first_residual,
     miwa_second_residual,
@@ -27,15 +36,15 @@ from p6tau.backlund import (
     sigma_difference,
     sigma_of,
     solve_fourth,
-    toda_neighbors,
     toda_product,
     v_of_point,
     via_params,
 )
 from p6tau.f4 import sigma_step
 from p6tau.grassmann import MissingTau, TauT, TauTable
-from p6tau.lattice import LatticePoint, all_moves, big_GH, c5_c6, move_vector, r_weight
-from p6tau.suites import perturb_table
+from p6tau.lattice import (LatticePoint, all_moves, ball, big_GH, c5_c6, delta, move_vector,
+                           r_weight)
+from p6tau.suites import miwa_bases, perturb_table, suite_symmetry
 
 T = LaurentPoly.t()
 ORIGIN = LatticePoint((0, 0, 0, 0, 0, 0))
@@ -58,9 +67,9 @@ def test_toda_matches_neighbor_products(table2):
     for p in table2.points():
         tau = table2.get(p)
         for pair in TODA_PAIRS:
-            plus, minus = toda_neighbors(p, pair)
+            v = move_vector(*pair)
             try:
-                product = table2.get(plus).T * table2.get(minus).T
+                product = table2.get(p + v).T * table2.get(p - v).T
             except MissingTau:
                 continue
             assert toda_product(tau, pair) == product
@@ -328,3 +337,91 @@ def test_cleared_sigma_formulas_match_scalar_oracle(table2):
             assert stepped.num(t0) / stepped.den(t0) == expected
             if res.is_zero():
                 assert expected == sjk[0]
+
+
+# ---------------------------------------------------------------------------
+# integer point keys against LatticePoint lookups
+# ---------------------------------------------------------------------------
+
+COMMITTED_R2 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "vandermonde_r2.json"
+
+
+@pytest.fixture(scope="module")
+def sweep_tables():
+    """The committed r2 table; it with a seeded tenth of its points deleted;
+    it grown to 293 entries by suite_symmetry, which adds points outside the
+    ball; and it, still labelled radius 2, with a copy of ball(1) translated
+    by (5,-5,5,-5,5,-5) and a point at (1,-10,9,0,0,0), whose key in base 9
+    (a width taken from the radius) would be the origin's."""
+    r2 = cli.load_table(str(COMMITTED_R2))
+    points = r2.points()
+    dropped = set(random.Random(8).sample(points, len(points) // 10))
+    thinned = TauTable(r2.frame, {p: t for p, t in r2.entries.items() if p not in dropped})
+    grown = cli.load_table(str(COMMITTED_R2))
+    suite_symmetry(grown)
+    assert len(grown) == 293
+    far = TauTable(r2.frame, dict(r2.entries), radius=2)
+    shift = LatticePoint((5, -5, 5, -5, 5, -5))
+    for p in ball(1):
+        far.entries[p + shift] = r2.entries[p]
+    far.entries[LatticePoint((1, -10, 9, 0, 0, 0))] = r2.entries[points[0]]
+    return {"r2": r2, "thinned": thinned, "grown": grown, "far": far}
+
+
+def _oracle_squares(table):
+    """Every move square as LatticePoint sums, moves in all_moves() order."""
+    for m in all_moves():
+        v_ik, v_ij, v_jk = move_vector(m.i, m.k), move_vector(m.i, m.j), move_vector(m.j, m.k)
+        for base in table.points():
+            corners = (base, base + v_ik, base + v_ij, base + v_jk)
+            if all(c in table.entries for c in corners):
+                yield m, tuple(table.entries[c] for c in corners)
+
+
+@pytest.mark.parametrize("name", ["r2", "thinned", "grown", "far"])
+def test_move_squares_match_lattice_point_oracle(sweep_tables, name):
+    table = sweep_tables[name]
+    index = PointIndex(table)
+    got = [(m, tuple(index.taus[k] for k in keys)) for m, keys in iter_move_squares(index)]
+    expected = list(_oracle_squares(table))
+    assert len(got) == len(expected) > 0
+    for (m, taus), (m_exp, taus_exp) in zip(got, expected):
+        assert m == m_exp and all(a is b for a, b in zip(taus, taus_exp))
+    m = all_moves()[7]
+    assert list(iter_move_configurations(table, m)) == [t for mm, t in expected if mm == m]
+
+
+@pytest.mark.parametrize("name", ["r2", "thinned", "grown", "far"])
+def test_miwa_stencils_match_lattice_point_oracle(sweep_tables, name):
+    table = sweep_tables[name]
+    bases = miwa_bases(table)
+    expected = []
+    for base in bases:
+        for stencil in MIWA_STENCILS:
+            try:
+                polys = [table.get(LatticePoint(tuple(b + x + y for b, x, y in
+                                                      zip(base, delta(i), delta(j))))).T
+                         for i, j in stencil.pairs]
+            except MissingTau:
+                continue
+            expected.append((base, stencil, polys))
+    got = list(iter_miwa_stencils(PointIndex(table), bases))
+    assert len(got) == len(expected) > 0
+    for (base, stencil, polys), (base_exp, stencil_exp, polys_exp) in zip(got, expected):
+        assert base == base_exp and stencil is stencil_exp
+        assert all(a is b for a, b in zip(polys, polys_exp))
+
+
+def test_point_index_keys_are_injective_near_the_table(sweep_tables):
+    """Distinct vectors within two unit moves of the table get distinct keys,
+    and the keys of the table's points sort like their coordinates."""
+    steps = [move_vector(i, k).alpha for i in range(1, 7) for k in range(1, 7) if i != k]
+    steps.append((0,) * 6)
+    for name in ("grown", "far"):
+        table = sweep_tables[name]
+        index = PointIndex(table)
+        near = {p.alpha for p in table.points()}
+        for _ in range(2):
+            near = {tuple(map(operator.add, a, u)) for a in near for u in steps}
+        assert len({index.key(a) for a in near}) == len(near)
+        assert index.bases == [index.key(p.alpha) for p in table.points()]

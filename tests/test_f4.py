@@ -40,6 +40,13 @@ def test_membership_rule_enforced():
         F4Vector(0, (Fraction(2, 3), 0, 0, 0))
 
 
+def test_a5_to_f4_accepts_every_point_of_ball_3():
+    # the doubled coordinates (a1+a3)+2a_{3+i} and a1-a3 always share parity
+    for p in ball(3):
+        image = a5_to_f4(p)
+        assert len({x % 2 for x in image.twice}) == 1
+
+
 def test_a5_to_f4_examples():
     assert a5_to_f4(ORIGIN) == F4Vector(0, (0, 0, 0, 0))
     assert a5_to_f4(move_vector(5, 6)) == E2 - E3

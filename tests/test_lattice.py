@@ -110,6 +110,29 @@ def test_big_gh_frozen_values():
     assert H == LaurentPoly.constant(Fraction(1, 2))
 
 
+def _big_gh_fraction_oracle(p, m):
+    """G and H straight from the four points' c5/c6, in Fractions."""
+    corners = [p + move_vector(m.i, m.j), p + move_vector(m.j, m.k),
+               p + move_vector(m.i, m.k), p]
+    (c5ij, c6ij), (c5jk, c6jk), (c5ik, c6ik), (c5a, c6a) = map(c5_c6, corners)
+    g, h = gh_polys(m.j, n_coeff(p, m))
+    one_minus_t = LaurentPoly(0, (1, -1))
+    G = (g - one_minus_t * (c5ij + c5jk - c5ik - c5a)
+         - LaurentPoly.constant((c6ij + c6jk - c6ik - c6a) / 2))
+    H = h + one_minus_t * (c5a - c5ik) + LaurentPoly.constant((c6a - c6ik) / 2)
+    return G, H
+
+
+def test_big_gh_matches_fraction_formula_on_ball_2():
+    for m in all_moves():
+        Gs = set()
+        for p in ball(2):
+            G, H = big_GH(p, m)
+            assert (G, H) == _big_gh_fraction_oracle(p, m)
+            Gs.add(G)
+        assert len(Gs) == 1  # G depends on the move alone
+
+
 def test_big_gh_reduces_to_gh_when_its_differences_vanish():
     # pick a configuration where both differences entering H vanish:
     # c5 is untouched by mu-block moves with j = 2, and the weights of the

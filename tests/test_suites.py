@@ -1,5 +1,9 @@
+import hashlib
+import json
 from dataclasses import replace
 from fractions import Fraction
+
+import pytest
 
 from p6tau import grassmann, suites
 from p6tau.backlund import bilinear_residual, calibrate_eps, iter_move_configurations
@@ -7,7 +11,7 @@ from p6tau.exactalg import LaurentPoly
 from p6tau.grassmann import FrameMatrix, TauTable
 from p6tau.lattice import LatticePoint, all_moves
 from p6tau.suites import (perturb_table, suite_bilinear, suite_f4, suite_homogeneity,
-                          suite_jmo, suite_sigma_backlund, suite_vacuum_charge)
+                          suite_jmo, suite_miwa, suite_sigma_backlund, suite_vacuum_charge)
 
 
 def _inject(monkeypatch, bad_mu, charges):
@@ -100,3 +104,41 @@ def test_smallest_perturbation_on_a_dense_frame_is_caught():
     for twisted in (broken, reloaded):
         assert suite_bilinear(twisted).failures
         assert [x["point"] for x in suite_jmo(twisted).failures] == [p.to_json()]
+
+
+# (radius, perturbed point or None, bilinear calibration error, and the first
+# 16 hex digits of the sha256 of json.dumps(report, indent=2, sort_keys=True)
+# for bilinear, sigma-backlund, f4 and miwa), frozen from the reports of the
+# sweeps that looked every neighbour up as a LatticePoint.
+FROZEN_REPORTS = [
+    (2, None, None,
+     ("3c7a68030e89a70f", "afa30fc675020154", "5531bd69f80d2759", "67e620c0b74f686e")),
+    (2, (-1, 0, 0, 1, 0, 0), "move MoveIJK(i=1, j=2, k=4) at (-1,-1,0,2,0,0): no sign matches",
+     ("e408a1192ac2823b", "f852e54197bb864e", "5531bd69f80d2759", "c1c761867b200b07")),
+    (2, (0, 0, 0, 1, -1, 0), "move MoveIJK(i=1, j=2, k=4) at (-1,0,0,2,-1,0): no sign matches",
+     ("c72cf43a72208b4a", "81f8b8addb8ca36d", "4d19a69e8872a62b", "66fa17a6425e76ee")),
+    (2, (0, 0, 0, -2, 0, 2), "move MoveIJK(i=4, j=1, k=6) at (0,0,0,-2,0,2): no sign matches",
+     ("3552e06010cfa2e0", "f7b6f20bd54d86ff", "0a3b30b2b87a6ec6", "67e620c0b74f686e")),
+    (2, (1, 0, -1, 0, 0, 0),
+     "move MoveIJK(i=1, j=2, k=3) at (0,0,0,0,0,0): left side nonzero, product zero",
+     ("63c5f97554e20cc2", "1ca0a9e680ec3eac", "6588403ed83e5aba", "fa61d0f0be15f1fb")),
+    (2, (1, 1, 0, -1, -1, 0), "move MoveIJK(i=4, j=1, k=6): sign depends on the base point",
+     ("ad10fc2515bd3d25", "0a51771978a2c615", "5531bd69f80d2759", "4d9ba0dfc0908f60")),
+    (1, (0, 0, 0, 1, -1, 0), "no informative configuration for move MoveIJK(i=1, j=2, k=3)",
+     ("8c66830abc9c45f8", "471a013eee250964", "c8e16e1c81c0aabe", "621d4ea18d78a8aa")),
+]
+
+
+@pytest.mark.parametrize("radius, point, error, digests", FROZEN_REPORTS,
+                         ids=[f"r{r}-{p}" for r, p, _, _ in FROZEN_REPORTS])
+def test_sweep_reports_match_frozen_digests(table1, table2, radius, point, error, digests):
+    table = table2 if radius == 2 else table1
+    if point is not None:
+        table = perturb_table(table, LatticePoint(point))
+    reports = [suite(table).to_json()
+               for suite in (suite_bilinear, suite_sigma_backlund, suite_f4, suite_miwa)]
+    failures = reports[0]["failures"]
+    assert (failures[0]["error"] if failures else None) == error
+    got = tuple(hashlib.sha256(json.dumps(r, indent=2, sort_keys=True).encode()).hexdigest()[:16]
+                for r in reports)
+    assert got == digests
