@@ -2,7 +2,9 @@
 
 Commands:
   gen            build the tau table for a lattice ball and write it out
-  verify         run identity suites against a table; exit 0 iff all hold
+  verify         run identity suites against a table; exit 0 iff all hold.
+                 The report holds each suite's checks, verdict, failures and
+                 notes; --configurations adds every configuration checked
   sigma          print the sigma function and parameter quadruple of a point
   map-f4         map a point to its 5-vector; optionally the full report
   calibrate-eps  print the calibrated move-sign table
@@ -45,6 +47,7 @@ class RunConfig:
     suites: list = field(default_factory=lambda: sorted(SUITES))
     output: str | None = None
     fmt: str = "json"
+    configurations: bool = False  # verify: list every configuration in the report
 
     def load_frame(self) -> FrameMatrix:
         if self.frame_path:
@@ -137,8 +140,11 @@ def cmd_verify(config: RunConfig, table_path: str) -> int:
         _dump_json({"suites": [], "passed": True}, config.output)
         return 0
     reports = run_suites(table, config.suites)
-    payload = {"suites": [r.to_json() for r in reports],
-               "passed": all(r.passed for r in reports)}
+    suites = [r.to_json() for r in reports]
+    if not config.configurations:
+        for suite in suites:
+            del suite["configurations"]
+    payload = {"suites": suites, "passed": all(r.passed for r in reports)}
     for r in reports:
         status = "pass" if r.passed else "FAIL"
         line = f"{r.name}: {status} ({r.checks} checks"
@@ -222,6 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suites", default=",".join(sorted(SUITES)),
                         help="comma-separated subset of: " + ", ".join(sorted(SUITES)))
     verify.add_argument("--out", help="report path (stdout when omitted)")
+    verify.add_argument("--configurations", action="store_true",
+                        help="list every configuration checked, not only the failures")
 
     sigma = sub.add_parser("sigma", help="sigma function and parameters of a point")
     sigma.add_argument("--point", required=True, help="six comma-separated integers")
@@ -251,7 +259,8 @@ def main(argv=None) -> int:
             return cmd_gen(config)
         if args.command == "verify":
             suites = [s for s in args.suites.split(",") if s]
-            config = RunConfig(suites=suites, output=args.out)
+            config = RunConfig(suites=suites, output=args.out,
+                               configurations=args.configurations)
             return cmd_verify(config, args.table)
         if args.command == "sigma":
             return cmd_sigma(_parse_point(args.point), args.table, args.out)

@@ -243,9 +243,10 @@ def suite_sigma_backlund(table: TauTable) -> SuiteReport:
             continue
         labels = {"move": [m.i, m.j, m.k], "base": taus[0].point.to_json()}
         rep.record(res.is_zero(), _terms(res), **labels)
-        # implication: the bilinear residual vanishes on the same square
+        # implication: the bilinear residual vanishes on the same square; a
+        # failure counts the terms of whichever residual is nonzero, sigma's first
         bil = bilinear_residual(*taus, m, eps_block_inversions(m.i, m.j, m.k))
-        rep.record(bil.is_zero() and res.is_zero(), _terms(res),
+        rep.record(bil.is_zero() and res.is_zero(), _terms(bil if res.is_zero() else res),
                    check="implication", **labels)
     rep.notes["degenerate_K"] = degenerate
     return rep

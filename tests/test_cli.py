@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -105,6 +108,60 @@ def test_verify_names_failing_configuration(table_file, tmp_path, capsys):
     assert failing
     named = [f for s in failing for f in s["failures"]]
     assert any("base" in f or "error" in f or "point" in f for f in named)
+
+
+# sha256 of the report `verify` wrote for every configuration, on the radius-2
+# Vandermonde table, before the summary report became the default.
+FULL_REPORT_R2_SHA256 = "fece8d843032349e12f0496f5e515eec2e27b4d3e6af11714bd1482bb6be5c12"
+
+
+def test_verify_configurations_report_is_byte_identical(table_file, tmp_path, capsys):
+    report = tmp_path / "full.json"
+    assert main(["verify", "--table", str(table_file), "--configurations",
+                 "--out", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == FULL_REPORT_R2_SHA256
+
+
+def test_verify_summary_holds_the_full_report_less_its_configurations(
+        table_file, tmp_path, capsys):
+    broken = perturb_table(cli.load_table(str(table_file)), LatticePoint((-1, 0, 0, 1, 0, 0)))
+    bad_file = tmp_path / "bad.json"
+    bad_file.write_text(json.dumps({"frame": broken.frame.to_json(), "radius": broken.radius,
+                                    "entries": broken.to_json()}))
+    runs = {}
+    for name, extra in (("summary", []), ("full", ["--configurations"])):
+        out = tmp_path / f"{name}.json"
+        code = main(["verify", "--table", str(bad_file), "--suites",
+                     "bilinear,sigma-backlund,jmo", "--out", str(out)] + extra)
+        runs[name] = (code, capsys.readouterr().out.splitlines(),
+                      json.loads(out.read_text()))
+    (code, lines, summary), (full_code, full_lines, full) = runs["summary"], runs["full"]
+    assert code == full_code == 1
+    assert lines == full_lines and len(lines) == 3
+    assert summary["passed"] is full["passed"] is False
+    assert [s["suite"] for s in summary["suites"]] == ["bilinear", "sigma-backlund", "jmo"]
+    for short, long in zip(summary["suites"], full["suites"], strict=True):
+        assert "configurations" not in short and long["configurations"]
+        assert short == {k: v for k, v in long.items() if k != "configurations"}
+        assert sorted(short) == ["checks", "failures", "notes", "passed", "suite"]
+
+
+def test_python_m_p6tau_runs_verify(table_file, tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    bad = tmp_path / "bad.json"
+    bad.write_text("{}")
+
+    def verify(path):
+        return subprocess.run([sys.executable, "-m", "p6tau", "verify", "--table", str(path),
+                               "--suites", "toda", "--out", str(tmp_path / "report.json")],
+                              env=env, capture_output=True, text=True)
+
+    good = verify(table_file)
+    assert good.returncode == 0 and good.stdout.startswith("toda: pass")
+    malformed = verify(bad)
+    assert malformed.returncode == 2 and "bad.json" in malformed.stderr
 
 
 def test_verify_empty_suites_warns(table_file, capsys):
