@@ -56,26 +56,16 @@ class InsufficientData(ValueError):
     """The table held no informative configuration for a move."""
 
 
-# directional derivatives d_j = b_j(t) d/dt
+TT1 = LaurentPoly(1, (-1, 1))          # t(t-1)
+TWO_T_MINUS_1 = LaurentPoly(0, (-1, 2))
+TT1_SQUARED = TT1 * TT1
+
+# directional derivatives d_j = b_j(t) d/dt: b1 = t(t-1), b2 = t, b3 = -t^2
 B_POLYS = {
-    1: LaurentPoly(1, (-1, 1)),   # t(t-1)
+    1: TT1,
     2: LaurentPoly(1, (1,)),      # t
     3: LaurentPoly(2, (-1,)),     # -t^2
 }
-
-
-@dataclass(frozen=True)
-class DirectionalDerivative:
-    """d_j = b_j(t) d/dt with b1 = t(t-1), b2 = t, b3 = -t^2."""
-
-    j: int
-
-    @property
-    def b(self) -> LaurentPoly:
-        return B_POLYS[self.j]
-
-    def __call__(self, T: LaurentPoly) -> LaurentPoly:
-        return self.b * T.derivative()
 
 
 @dataclass(frozen=True)
@@ -230,25 +220,27 @@ def toda_product(tau: TauT, pair: tuple[int, int]) -> LaurentPoly:
 # bilinear relation for a move
 # ---------------------------------------------------------------------------
 
-def _check_configuration(t_a: TauT, t_ik: TauT, t_ij: TauT, t_jk: TauT, m: MoveIJK):
-    base = t_a.point
-    expect = (
-        (t_ik, base + move_vector(m.i, m.k)),
-        (t_ij, base + move_vector(m.i, m.j)),
-        (t_jk, base + move_vector(m.j, m.k)),
-    )
-    for tau, point in expect:
-        if tau.point != point:
-            raise ConfigurationMismatch(
-                f"tau at {tau.point} does not sit at {point} for move {m}"
-            )
+def _check_configuration(a, ik, ij, jk, m: MoveIJK):
+    """Raise ConfigurationMismatch unless the four (tau or sigma) corners sit
+    at the move's square on a.point."""
+    base = a.point
+    for corner, (x, y) in ((ik, (m.i, m.k)), (ij, (m.i, m.j)), (jk, (m.j, m.k))):
+        if corner.point != base + move_vector(x, y):
+            raise ConfigurationMismatch(f"{corner.point} is not the corner {base} + d{x}"
+                                        f" - d{y} of move {m}")
+
+
+def bilinear_edge(T_a: LaurentPoly, T_ik: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """(Tik Ta' - Ta Tik', Ta Tik): the terms of the left side shared by the
+    moves (i, j, k) of one edge (a, ik)."""
+    return T_ik * T_a.derivative() - T_a * T_ik.derivative(), T_a * T_ik
 
 
 def bilinear_combination(t_a: TauT, t_ik: TauT, m: MoveIJK) -> LaurentPoly:
-    """Tik d_j(Ta) - Ta d_j(Tik) + n_j Ta Tik, the move's left side."""
-    dj = DirectionalDerivative(m.j)
-    n = n_coeff(t_a.point, m)
-    return t_ik.T * dj(t_a.T) - t_a.T * dj(t_ik.T) + n * t_a.T * t_ik.T
+    """Tik d_j(Ta) - Ta d_j(Tik) + n_j Ta Tik, the move's left side, which is
+    b_j (Tik Ta' - Ta Tik') + n_j Ta Tik."""
+    wronskian, product = bilinear_edge(t_a.T, t_ik.T)
+    return B_POLYS[m.j] * wronskian + n_coeff(t_a.point, m) * product
 
 
 def bilinear_residual(t_a: TauT, t_ik: TauT, t_ij: TauT, t_jk: TauT,
@@ -440,16 +432,14 @@ def jmo_residual_with_v(N: LaurentPoly, D: LaurentPoly, v: VQuad) -> LaurentPoly
     sigma'(t(t-1) sigma'')^2 + (sigma'[2 sigma - (2t-1) sigma'] + v1v2v3v4)^2
     - prod_k (sigma' + v_k^2), times D^8.
     """
-    A = N.derivative() * D - N * D.derivative()          # sigma' = A / D^2
-    B = A.derivative() * D - 2 * A * D.derivative()      # sigma'' = B / D^3
-    t = LaurentPoly.t()
-    tt1 = t * (t - 1)
-    two_t_minus_1 = LaurentPoly(0, (-1, 2))
+    dD = D.derivative()
+    A = N.derivative() * D - N * dD                      # sigma' = A / D^2
+    B = A.derivative() * D - 2 * A * dD                  # sigma'' = B / D^3
     c = v.product()
     D2 = D * D
     D4 = D2 * D2
-    middle = 2 * A * N * D - two_t_minus_1 * (A * A) + c * D4
-    lhs = tt1 * tt1 * A * (B * B) + middle * middle
+    middle = 2 * A * N * D - TWO_T_MINUS_1 * (A * A) + c * D4
+    lhs = TT1_SQUARED * A * (B * B) + middle * middle
     rhs = LaurentPoly.constant(1)
     for vk in v.as_tuple():
         rhs = rhs * (A + (vk * vk) * D2)
@@ -465,19 +455,34 @@ def jmo_residual(s: SigmaFn) -> LaurentPoly:
 # sigma-level relation for a move
 # ---------------------------------------------------------------------------
 
-def sigma_move_terms(s_a: SigmaFn, s_ik: SigmaFn,
-                     m: MoveIJK) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
-    """G, Kn and Kd of the sigma-level relation for move m at s_a.point.
-
-    K = sa - sik + H = Kn/Kd with Kd = Da Dik and Kn = Na Dik - Nik Da + H Kd.
-    Raises DegenerateK when K vanishes, since the relation divides by it.
-    """
-    G, H = big_GH(s_a.point, m)
+def sigma_edge(s_a: SigmaFn, s_ik: SigmaFn) -> tuple[LaurentPoly, ...]:
+    """The terms of the sigma-level relation shared by every move square on
+    the edge (a, ik): Kd = Da Dik, F = Na Dik + Nik Da, E = Na Dik - Nik Da,
+    the Wronskian E' Kd - E Kd' and Kd^2."""
     Kd = s_a.den * s_ik.den
-    Kn = s_a.num * s_ik.den - s_ik.num * s_a.den + H * Kd
+    na_dik, nik_da = s_a.num * s_ik.den, s_ik.num * s_a.den
+    E = na_dik - nik_da
+    return Kd, na_dik + nik_da, E, E.derivative() * Kd - E * Kd.derivative(), Kd * Kd
+
+
+def sigma_square(edge, G: LaurentPoly, H: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """Kn and S of one move square from its edge's terms and the move's G, H:
+    K = sa - sik + H = Kn/Kd with Kn = E + H Kd, and
+    S = (F + G Kd) Kn + t(t-1)(Kn' Kd - Kn Kd'), so that the relation
+    sij + sjk = sa + sik + G + t(t-1) K'/K reads (sij + sjk) Kd Kn = S.  H is
+    linear, so Kn' Kd - Kn Kd' = (E' Kd - E Kd') + H' Kd^2.  Raises
+    DegenerateK when K vanishes, since the relation divides by it.
+    """
+    Kd, F, E, wronskian, Kd2 = edge
+    Kn = E + H * Kd
     if Kn.is_zero():
-        raise DegenerateK(f"K vanishes for move {m} at {s_a.point}")
-    return G, Kn, Kd
+        raise DegenerateK("K vanishes on the move square")
+    return Kn, (F + G * Kd) * Kn + TT1 * (wronskian + H.derivative() * Kd2)
+
+
+def sigma_square_residual(Kd, Kn, S, s_ij: SigmaFn, s_jk: SigmaFn) -> LaurentPoly:
+    """R = (Nij Djk + Njk Dij) Kd Kn - S Dij Djk: zero iff the relation holds."""
+    return (s_ij.num * s_jk.den + s_jk.num * s_ij.den) * (Kd * Kn) - S * (s_ij.den * s_jk.den)
 
 
 def sigma_backlund_residual(s_a: SigmaFn, s_ik: SigmaFn, s_ij: SigmaFn,
@@ -486,29 +491,64 @@ def sigma_backlund_residual(s_a: SigmaFn, s_ik: SigmaFn, s_ij: SigmaFn,
 
     (sij + sjk - sik - sa - G) * K - t(t-1) * K',  K = sa - sik + H = Kn/Kd,
 
-    times Dij Djk Kd^2, where D is the denominator of each sigma.  That is
-    Ln Kn - t(t-1)(Kn' Kd - Kn Kd') Dij Djk with
-    Ln = (Nij Djk + Njk Dij) Kd - (Nik Da + Na Dik + G Kd) Dij Djk.
-    Zero iff the relation holds; the log derivative never appears as such.
+    times Dij Djk Kd^2, where D is the denominator of each sigma: the R of
+    sigma_square_residual.  Zero iff the relation holds; the log derivative
+    never appears as such.
     """
-    base = s_a.point
-    expect = (
-        (s_ik, base + move_vector(m.i, m.k)),
-        (s_ij, base + move_vector(m.i, m.j)),
-        (s_jk, base + move_vector(m.j, m.k)),
-    )
-    for s, point in expect:
-        if s.point != point:
-            raise ConfigurationMismatch(
-                f"sigma at {s.point} does not sit at {point} for move {m}"
-            )
-    G, Kn, Kd = sigma_move_terms(s_a, s_ik, m)
-    t = LaurentPoly.t()
-    D_ij_jk = s_ij.den * s_jk.den
-    Ln = ((s_ij.num * s_jk.den + s_jk.num * s_ij.den) * Kd
-          - (s_ik.num * s_a.den + s_a.num * s_ik.den + G * Kd) * D_ij_jk)
-    dK = Kn.derivative() * Kd - Kn * Kd.derivative()
-    return Ln * Kn - t * (t - 1) * dK * D_ij_jk
+    _check_configuration(s_a, s_ik, s_ij, s_jk, m)
+    edge = sigma_edge(s_a, s_ik)
+    return sigma_square_residual(edge[0], *sigma_square(edge, *big_GH(s_a.point, m)), s_ij, s_jk)
+
+
+# ---------------------------------------------------------------------------
+# one sweep over the move squares of a table
+# ---------------------------------------------------------------------------
+
+class SquareSweep:
+    """The move squares of one indexed table, with every per-point and
+    per-edge polynomial computed once: sigma per nonzero point, and per edge
+    (a, ik) its bilinear_edge and sigma_edge terms.  The edge cache is
+    dropped whenever the move's i changes, once per i in all_moves() order."""
+
+    def __init__(self, index: PointIndex):
+        self.index = index
+        self._edges, self._i = {}, None
+
+    def sigma_squares(self):
+        """(m, taus, sigmas) of every move square whose four taus are nonzero,
+        corners in the order (a, ik, ij, jk)."""
+        taus = self.index.taus
+        sigma = {k: sigma_of(tau) for k, tau in taus.items() if not tau.is_zero()}
+        for m, keys in iter_move_squares(self.index):
+            if all(k in sigma for k in keys):
+                yield m, tuple(taus[k] for k in keys), tuple(sigma[k] for k in keys)
+
+    def _edge(self, m: MoveIJK, key, build):
+        """build(), computed once per key while the move's i stays the same."""
+        if m.i != self._i:
+            self._i, self._edges = m.i, {}
+        edge = self._edges.get(key)
+        if edge is None:
+            edge = self._edges[key] = build()
+        return edge
+
+    def bilinear_sides(self, m: MoveIJK, taus) -> tuple[LaurentPoly, LaurentPoly]:
+        """(L, P) of a square's taus (Ta, Tik, Tij, Tjk): L = bilinear_combination(Ta,
+        Tik, m), with the integer n_j = (1, -1, 0)[j - 1] (R(ik) - R(a)), and P = Tij Tjk."""
+        t_a, t_ik, t_ij, t_jk = taus
+        wronskian, product = self._edge(m, ("bilinear", t_a.point, t_ik.point),
+                                        lambda: bilinear_edge(t_a.T, t_ik.T))
+        n = (1, -1, 0)[m.j - 1] * (t_ik.weight - t_a.weight)
+        lhs = B_POLYS[m.j] * wronskian
+        return (lhs + n * product if n else lhs), t_ij.T * t_jk.T
+
+    def sigma_residual(self, m: MoveIJK, sigmas) -> LaurentPoly:
+        """sigma_backlund_residual of a square's sigmas (sa, sik, sij, sjk);
+        raises DegenerateK."""
+        s_a, s_ik, s_ij, s_jk = sigmas
+        edge = self._edge(m, ("sigma", s_a.point, s_ik.point), lambda: sigma_edge(s_a, s_ik))
+        Kn, S = sigma_square(edge, *big_GH(s_a.point, m))
+        return sigma_square_residual(edge[0], Kn, S, s_ij, s_jk)
 
 
 # ---------------------------------------------------------------------------
@@ -520,11 +560,10 @@ def iter_bilinear_sides(table: TauTable):
     (Ta, Tij, Tjk, L, P) for each square of the move: L is the left side
     bilinear_combination(Ta, Tik, m) and P = Tij Tjk the right side without
     its sign."""
-    index = PointIndex(table)
+    sweep = SquareSweep(PointIndex(table))
     for m in all_moves():
-        sides = [(t_a, t_ij, t_jk, bilinear_combination(t_a, t_ik, m), t_ij.T * t_jk.T)
-                 for t_a, t_ik, t_ij, t_jk in iter_move_configurations(table, m, index)]
-        yield m, sides
+        yield m, [(taus[0], taus[2], taus[3], *sweep.bilinear_sides(m, taus))
+                  for taus in iter_move_configurations(table, m, sweep.index)]
 
 
 def move_sign(m: MoveIJK, sides) -> int:

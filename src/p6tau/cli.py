@@ -139,12 +139,9 @@ def cmd_verify(config: RunConfig, table_path: str) -> int:
         print("warning: empty suite list, nothing checked")
         _dump_json({"suites": [], "passed": True}, config.output)
         return 0
-    reports = run_suites(table, config.suites)
-    suites = [r.to_json() for r in reports]
-    if not config.configurations:
-        for suite in suites:
-            del suite["configurations"]
-    payload = {"suites": suites, "passed": all(r.passed for r in reports)}
+    reports = run_suites(table, config.suites, config.configurations)
+    payload = {"suites": [r.to_json() for r in reports],
+               "passed": all(r.passed for r in reports)}
     for r in reports:
         status = "pass" if r.passed else "FAIL"
         line = f"{r.name}: {status} ({r.checks} checks"

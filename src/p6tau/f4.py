@@ -16,10 +16,9 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .backlund import SigmaFn, VQuad, sigma_move_terms, toda_product
-from .exactalg import LaurentPoly
+from .backlund import SigmaFn, VQuad, sigma_edge, sigma_square, toda_product
 from .grassmann import TauT, TauTable, specialize_to_t, tau_in_x
-from .lattice import LatticePoint, MoveIJK, move_vector, r_weight
+from .lattice import LatticePoint, MoveIJK, big_GH, move_vector, r_weight
 
 
 class OddSignCount(ValueError):
@@ -147,9 +146,9 @@ def sigma_step(s_a: SigmaFn, s_ik: SigmaFn, s_known: SigmaFn, m: MoveIJK) -> Sig
     relation of the move (i, j, k) with d_i - d_k = pre(gamma1) - pre(gamma2):
     sigma_ij + sigma_jk = sigma_a + sigma_ik + G + t(t-1) K'/K.  s_known sits
     at the ij or the jk corner, and sigma at the other corner is returned,
-    unreduced: with K = Kn/Kd and s_known = Nk/Dk, its numerator is
-    [(Na Dik + Nik Da + G Kd) Kn + t(t-1)(Kn' Kd - Kn Kd')] Dk - Nk Kd Kn
-    and its denominator Kd Kn Dk.
+    unreduced: with Kn, S of backlund.sigma_square, K = Kn/Kd and
+    s_known = Nk/Dk, its numerator is S Dk - Nk Kd Kn and its denominator
+    Kd Kn Dk.
     """
     base = s_a.point
     p_ij, p_jk = base + move_vector(m.i, m.j), base + move_vector(m.j, m.k)
@@ -158,12 +157,10 @@ def sigma_step(s_a: SigmaFn, s_ik: SigmaFn, s_known: SigmaFn, m: MoveIJK) -> Sig
     if s_known.point not in (p_ij, p_jk):
         raise MissingPreimage(f"{s_known.point} is no ij/jk corner of {m} at {base}")
     target = p_jk if s_known.point == p_ij else p_ij
-    G, Kn, Kd = sigma_move_terms(s_a, s_ik, m)
-    t = LaurentPoly.t()
-    dK = Kn.derivative() * Kd - Kn * Kd.derivative()
-    total = (s_a.num * s_ik.den + s_ik.num * s_a.den + G * Kd) * Kn + t * (t - 1) * dK
-    den = Kd * Kn
-    return SigmaFn(target, total * s_known.den - s_known.num * den, den * s_known.den)
+    edge = sigma_edge(s_a, s_ik)
+    Kn, S = sigma_square(edge, *big_GH(base, m))
+    den = edge[0] * Kn
+    return SigmaFn(target, S * s_known.den - s_known.num * den, den * s_known.den)
 
 
 # Toda steps: the three admissible gamma vectors and their neighbor pairs.

@@ -147,12 +147,12 @@ def c5_c6(p: LatticePoint) -> tuple[Fraction, Fraction]:
     return Fraction(c5, 4), Fraction(c6, 4)
 
 
-def n_coeff(p: LatticePoint, m: MoveIJK) -> Fraction:
+def n_coeff(p: LatticePoint, m: MoveIJK) -> int:
     """Constant term of the bilinear relation: n1 = R(p+di-dk)-R(p), n2 = -n1, n3 = 0."""
     if m.j == 3:
-        return Fraction(0)
+        return 0
     n1 = r_weight(p + move_vector(m.i, m.k)) - r_weight(p)
-    return as_scalar(n1) if m.j == 1 else as_scalar(-n1)
+    return n1 if m.j == 1 else -n1
 
 
 def gh_polys(j: int, n) -> tuple[LaurentPoly, LaurentPoly]:

@@ -18,16 +18,13 @@ from .backlund import (
     NoConsistentSign,
     PointIndex,
     TODA_PAIRS,
-    bilinear_residual,
+    SquareSweep,
     eps_block_inversions,
     iter_bilinear_sides,
     iter_miwa_stencils,
-    iter_move_squares,
     jmo_residual,
     jmo_residual_with_v,
     move_sign,
-    sigma_backlund_residual,
-    sigma_difference,
     sigma_of,
     stencil_residual,
     toda_product,
@@ -40,7 +37,6 @@ from .f4 import (
     component_permute,
     d4_action,
     short_sets,
-    sigma_step,
     simple_roots_check,
     table_families,
     toda_step_f4,
@@ -51,11 +47,14 @@ from .lattice import LatticePoint, all_moves, ball, e0_translate, r_weight
 
 @dataclass
 class SuiteReport:
+    """A suite's checks and failures, and with keep every configuration."""
+
     name: str
     checks: int = 0
     failures: list = field(default_factory=list)
     configurations: list = field(default_factory=list)
     notes: dict = field(default_factory=dict)
+    keep: bool = True
 
     @property
     def passed(self) -> bool:
@@ -63,21 +62,17 @@ class SuiteReport:
 
     def record(self, ok: bool, terms: int = 0, **labels):
         self.checks += 1
-        entry = {**labels, "ok": bool(ok)}
         if not ok:
-            entry["terms"] = terms
-            self.failures.append(entry)
-        self.configurations.append(entry)
+            self.failures.append({**labels, "ok": False, "terms": terms})
+        if self.keep:
+            self.configurations.append(self.failures[-1] if not ok else {**labels, "ok": True})
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.name,
-            "checks": self.checks,
-            "passed": self.passed,
-            "failures": self.failures,
-            "configurations": self.configurations,
-            "notes": self.notes,
-        }
+        out = {"suite": self.name, "checks": self.checks, "passed": self.passed,
+               "failures": self.failures, "notes": self.notes}
+        if self.keep:
+            out["configurations"] = self.configurations
+        return out
 
 
 def _terms(poly) -> int:
@@ -127,8 +122,8 @@ def suite_homogeneity(table: TauTable) -> SuiteReport:
 # identity suites
 # ---------------------------------------------------------------------------
 
-def suite_toda(table: TauTable) -> SuiteReport:
-    rep = SuiteReport("toda")
+def suite_toda(table: TauTable, configurations: bool = True) -> SuiteReport:
+    rep = SuiteReport("toda", keep=configurations)
     index = PointIndex(table)
     taus = index.taus
     lines = [(pair, index.shift(*pair)) for pair in TODA_PAIRS]
@@ -144,26 +139,26 @@ def suite_toda(table: TauTable) -> SuiteReport:
     return rep
 
 
-def suite_bilinear(table: TauTable) -> SuiteReport:
+def suite_bilinear(table: TauTable, configurations: bool = True) -> SuiteReport:
     """The bilinear relation on every move square, in one pass: per move, the
     sign is calibrated from the squares' (L, P) pairs, then each square checks
     L - eps P and the solve-fourth division L / (eps Tij) against Tjk.  A
     calibration failure replaces the whole report, with calibrate_eps's error."""
-    rep = SuiteReport("bilinear")
+    rep = SuiteReport("bilinear", keep=configurations)
     signs = {}
     try:
         for m, sides in iter_bilinear_sides(table):
             sign = signs[(m.i, m.j, m.k)] = move_sign(m, sides)
             for t_a, t_ij, t_jk, lhs, rhs in sides:
-                residual = lhs - sign * rhs
+                residual = lhs - rhs if sign == 1 else lhs + rhs
                 rep.record(residual.is_zero(), _terms(residual),
                            move=[m.i, m.j, m.k], base=t_a.point.to_json())
                 if not t_ij.is_zero():
-                    solved = lhs.exact_divide(sign * t_ij.T)
+                    solved = lhs.exact_divide(t_ij.T if sign == 1 else -t_ij.T)
                     rep.record(solved == t_jk.T, _terms(solved - t_jk.T), check="solve-fourth",
                                move=[m.i, m.j, m.k], base=t_a.point.to_json())
     except (NoConsistentSign, InsufficientData) as exc:
-        rep = SuiteReport("bilinear")
+        rep = SuiteReport("bilinear", keep=configurations)
         rep.record(False, 1, check="calibration", error=str(exc))
         return rep
     eps = EpsTable(signs)
@@ -190,8 +185,8 @@ def miwa_bases(table: TauTable):
     return sorted(seen)
 
 
-def suite_miwa(table: TauTable) -> SuiteReport:
-    rep = SuiteReport("miwa")
+def suite_miwa(table: TauTable, configurations: bool = True) -> SuiteReport:
+    rep = SuiteReport("miwa", keep=configurations)
     for base, stencil, polys in iter_miwa_stencils(PointIndex(table), miwa_bases(table)):
         res = stencil_residual(stencil, polys)
         if stencil.identity == 1:
@@ -212,32 +207,21 @@ def suite_translation(table: TauTable, radius: int = 1) -> SuiteReport:
     return rep
 
 
-def suite_jmo(table: TauTable) -> SuiteReport:
-    rep = SuiteReport("jmo")
+def suite_jmo(table: TauTable, configurations: bool = True) -> SuiteReport:
+    rep = SuiteReport("jmo", keep=configurations)
     for p in table.nonzero_points():
         res = jmo_residual(sigma_of(table.get(p)))
         rep.record(res.is_zero(), _terms(res), point=p.to_json())
     return rep
 
 
-def _sigma_squares(index: PointIndex):
-    """(move, taus, sigmas) of every move square whose four taus are nonzero.
-
-    Sigma is computed once per nonzero point of the table, not per square.
-    """
-    taus = index.taus
-    sigma = {k: sigma_of(taus[k]) for k in index.bases if not taus[k].is_zero()}
-    for m, keys in iter_move_squares(index):
-        if all(k in sigma for k in keys):
-            yield m, tuple(taus[k] for k in keys), tuple(sigma[k] for k in keys)
-
-
-def suite_sigma_backlund(table: TauTable) -> SuiteReport:
-    rep = SuiteReport("sigma-backlund")
+def suite_sigma_backlund(table: TauTable, configurations: bool = True) -> SuiteReport:
+    rep = SuiteReport("sigma-backlund", keep=configurations)
     degenerate = 0
-    for m, taus, s in _sigma_squares(PointIndex(table)):
+    sweep = SquareSweep(PointIndex(table))
+    for m, taus, s in sweep.sigma_squares():
         try:
-            res = sigma_backlund_residual(*s, m)
+            res = sweep.sigma_residual(m, s)
         except DegenerateK:
             degenerate += 1
             continue
@@ -245,7 +229,8 @@ def suite_sigma_backlund(table: TauTable) -> SuiteReport:
         rep.record(res.is_zero(), _terms(res), **labels)
         # implication: the bilinear residual vanishes on the same square; a
         # failure counts the terms of whichever residual is nonzero, sigma's first
-        bil = bilinear_residual(*taus, m, eps_block_inversions(m.i, m.j, m.k))
+        lhs, rhs = sweep.bilinear_sides(m, taus)
+        bil = lhs - rhs if eps_block_inversions(m.i, m.j, m.k) == 1 else lhs + rhs
         rep.record(bil.is_zero() and res.is_zero(), _terms(bil if res.is_zero() else res),
                    check="implication", **labels)
     rep.notes["degenerate_K"] = degenerate
@@ -256,16 +241,22 @@ def suite_sigma_backlund(table: TauTable) -> SuiteReport:
 # correspondence and symmetry suites
 # ---------------------------------------------------------------------------
 
-def suite_f4(table: TauTable) -> SuiteReport:
+def suite_f4(table: TauTable, configurations: bool = True) -> SuiteReport:
     """The F4 correspondence on the table: membership of each point's image,
     the simple roots, the short-root sets, and Toda and sigma steps round-trip.
+
+    A sigma step's round-trip residual sigma_difference(sigma_step(s_a,
+    s_ik, s_ij, m), s_jk) is exactly -R, R the sigma-backlund residual of
+    the square (backlund.sigma_square_residual), and it is degenerate on the
+    same squares; so each step is checked through R, which holds the same
+    verdict and term count.
 
     The membership check cannot fail: a5_to_f4 writes the doubled coordinates
     (a1+a3)+2a_{3+i} and a1-a3, which always share their parity, so every
     lattice point has an image.  It is kept, one check per point, as the
     record that every point of the table was mapped.
     """
-    rep = SuiteReport("f4")
+    rep = SuiteReport("f4", keep=configurations)
     for p in table.points():
         try:
             a5_to_f4(p)
@@ -300,14 +291,14 @@ def suite_f4(table: TauTable) -> SuiteReport:
                        check="toda-step", point=t_beta.point.to_json(), pair=list(pair))
     # sigma steps round-trip: a step along (g1, g2) in S_j is the move (i, j, k)
     # with d_i - d_k = pre(g1) - pre(g2), so every move square is one step
-    for m, _, (s_a, s_ik, s_ij, s_jk) in _sigma_squares(index):
+    sweep = SquareSweep(index)
+    for m, _, s in sweep.sigma_squares():
         try:
-            got = sigma_step(s_a, s_ik, s_ij, m)
+            res = sweep.sigma_residual(m, s)
         except DegenerateK:
             continue
-        diff = sigma_difference(got, s_jk)
-        rep.record(diff.is_zero(), _terms(diff),
-                   check="sigma-step", move=[m.i, m.j, m.k], base=s_a.point.to_json())
+        rep.record(res.is_zero(), _terms(res), check="sigma-step", move=[m.i, m.j, m.k],
+                   base=s[0].point.to_json())
     return rep
 
 
@@ -320,21 +311,24 @@ D4_SAMPLES = (
 )
 
 
-def suite_symmetry(table: TauTable) -> SuiteReport:
-    rep = SuiteReport("symmetry")
+def suite_symmetry(table: TauTable, configurations: bool = True) -> SuiteReport:
+    rep = SuiteReport("symmetry", keep=configurations)
     t = LaurentPoly.t()
     for p in table.nonzero_points():
         v = v_of_point(p)
-        s = sigma_of(table.get(p))
-        probe = (s.num + t * s.den, s.den)  # sigma + t: a nonzero residual probe
-        base_res = jmo_residual_with_v(*probe, v)
+        squares = sorted(x * x for x in v.as_tuple())
         for perm, signs in D4_SAMPLES:
             w = d4_action(v, perm, signs)
-            squares_ok = sorted(x * x for x in w.as_tuple()) == sorted(
-                x * x for x in v.as_tuple()
-            )
+            squares_ok = sorted(x * x for x in w.as_tuple()) == squares
             product_ok = w.product() == v.product()
-            value_ok = jmo_residual_with_v(*probe, w) == base_res
+            # the residual reads v only through v1v2v3v4 and the multiset of
+            # the v_k^2, so equal squares and product imply an equal value
+            value_ok = squares_ok and product_ok
+            if not value_ok:
+                s = sigma_of(table.get(p))
+                probe = (s.num + t * s.den, s.den)  # sigma + t: a nonzero residual probe
+                base_res = jmo_residual_with_v(*probe, v)
+                value_ok = jmo_residual_with_v(*probe, w) == base_res
             rep.record(squares_ok and product_ok and value_ok,
                        0 if value_ok else _terms(base_res),
                        check="d4", point=p.to_json(), perm=list(perm),
@@ -376,12 +370,12 @@ SUITES = {
 }
 
 
-def run_suites(table: TauTable, names) -> list[SuiteReport]:
+def run_suites(table: TauTable, names, configurations: bool = True) -> list[SuiteReport]:
     reports = []
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-        reports.append(SUITES[name](table))
+        reports.append(SUITES[name](table, configurations))
     return reports
 
 

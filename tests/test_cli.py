@@ -325,3 +325,24 @@ def test_core_errors_exit_two(tmp_path, capsys, monkeypatch, exc):
     monkeypatch.setattr(cli.TauTable, "build", fail)
     assert main(["gen", "--radius", "1", "--out", str(tmp_path / "x.json")]) == 2
     assert "sector (0, 0, 0) is broken" in capsys.readouterr().err
+
+
+def test_frame_sweep_path_on_a_dense_frame(tmp_path, capsys):
+    """gen --radius 2 on a dense generic frame, then the four sweep suites,
+    with the check counts every generic radius-2 table gives."""
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps([["59/75", "-73/87", "-82/63"],
+                                 ["54/65", "-85/77", "-86/57"],
+                                 ["-86/87", "53/64", "-85/58"]]))
+    table, report = tmp_path / "table.json", tmp_path / "report.json"
+    assert main(["gen", "--frame", str(frame), "--radius", "2", "--out", str(table)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--table", str(table), "--suites", "toda,bilinear,jmo,sigma-backlund",
+                 "--out", str(report)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "toda: pass (153 checks)", "bilinear: pass (6150 checks)", "jmo: pass (181 checks)",
+        "sigma-backlund: pass (2664 checks)"]
+    payload = json.loads(report.read_text())
+    assert payload["passed"] is True
+    assert [(s["suite"], s["checks"]) for s in payload["suites"]] == [
+        ("toda", 153), ("bilinear", 6150), ("jmo", 181), ("sigma-backlund", 2664)]

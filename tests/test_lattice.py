@@ -183,3 +183,11 @@ def test_ball_counts_and_determinism():
 
 def test_all_moves_count():
     assert len(all_moves()) == 60
+
+
+@settings(deadline=None, max_examples=60)
+@given(lattice_points(), st.sampled_from(all_moves()))
+def test_n_coeff_is_an_int(p, m):
+    n = n_coeff(p, m)
+    assert type(n) is int
+    assert n == {1: 1, 2: -1, 3: 0}[m.j] * (r_weight(p + move_vector(m.i, m.k)) - r_weight(p))

@@ -1,0 +1,122 @@
+"""The sigma-square kernel and the cached bilinear sides of SquareSweep,
+square by square, against the public residuals, the F4 sigma step and
+oracles written out from the relations' definitions."""
+
+from fractions import Fraction
+
+import pytest
+
+from p6tau.backlund import (B_POLYS, DegenerateK, PointIndex, SquareSweep, bilinear_residual,
+                            iter_move_squares, sigma_backlund_residual, sigma_difference)
+from p6tau.exactalg import LaurentPoly
+from p6tau.f4 import sigma_step
+from p6tau.grassmann import FrameMatrix, TauTable
+from p6tau.lattice import LatticePoint, big_GH, n_coeff
+from p6tau.suites import perturb_table, suite_f4, suite_sigma_backlund
+
+# the dense frame of test_smallest_perturbation_on_a_dense_frame_is_caught
+DENSE_FRAME = [[(59, 75), (-73, 87), (-82, 63)],
+               [(54, 65), (-85, 77), (-86, 57)],
+               [(-86, 87), (53, 64), (-85, 58)]]
+# the perturbed radius-2 points of test_suites.FROZEN_REPORTS
+PERTURBED = [(-1, 0, 0, 1, 0, 0), (0, 0, 0, 1, -1, 0), (0, 0, 0, -2, 0, 2),
+             (1, 0, -1, 0, 0, 0), (1, 1, 0, -1, -1, 0)]
+TABLES = ["r2", "dense"] + [f"r2+{p}" for p in PERTURBED]
+# (squares of four nonzero taus, those with a nonzero residual R, those where
+# K vanishes) on each table; the bump at (1, 0, -1, 0, 0, 0) makes a zero tau
+# nonzero, which adds 24 squares, and K vanishes on 24 squares
+SQUARES = [(1332, 0, 0), (1332, 0, 0), (1332, 0, 0), (1332, 54, 0), (1332, 6, 0),
+           (1356, 0, 24), (1332, 0, 0)]
+
+
+@pytest.fixture(scope="module")
+def dense_table():
+    return TauTable.build(FrameMatrix([[Fraction(*x) for x in row] for row in DENSE_FRAME]), 2)
+
+
+@pytest.fixture
+def table(request, table2, dense_table):
+    """(name, table) for a name of TABLES."""
+    name = request.param
+    if name == "r2":
+        return name, table2
+    if name == "dense":
+        return name, dense_table
+    return name, perturb_table(table2, LatticePoint(PERTURBED[TABLES.index(name) - 2]))
+
+
+def _bilinear_oracle(taus, m, eps):
+    """Tik d_j(Ta) - Ta d_j(Tik) + n_j Ta Tik - eps Tij Tjk with d_j = b_j d/dt."""
+    a, ik, ij, jk = (tau.T for tau in taus)
+    b = B_POLYS[m.j]
+    n = n_coeff(taus[0].point, m)
+    return ik * (b * a.derivative()) - a * (b * ik.derivative()) + n * a * ik - eps * (ij * jk)
+
+
+def _sigma_oracle(sigmas, m):
+    """The cleared sigma-level residual Ln Kn - t(t-1)(Kn' Kd - Kn Kd') Dij Djk,
+    with Ln = (Nij Djk + Njk Dij) Kd - (Nik Da + Na Dik + G Kd) Dij Djk; None
+    when Kn = Na Dik - Nik Da + H Kd vanishes."""
+    s_a, s_ik, s_ij, s_jk = sigmas
+    G, H = big_GH(s_a.point, m)
+    Kd = s_a.den * s_ik.den
+    Kn = s_a.num * s_ik.den - s_ik.num * s_a.den + H * Kd
+    if Kn.is_zero():
+        return None
+    t = LaurentPoly.t()
+    D = s_ij.den * s_jk.den
+    Ln = ((s_ij.num * s_jk.den + s_jk.num * s_ij.den) * Kd
+          - (s_ik.num * s_a.den + s_a.num * s_ik.den + G * Kd) * D)
+    return Ln * Kn - t * (t - 1) * (Kn.derivative() * Kd - Kn * Kd.derivative()) * D
+
+
+def _or_degenerate(fn, *args):
+    try:
+        return fn(*args)
+    except DegenerateK:
+        return None
+
+
+@pytest.mark.parametrize("table", TABLES, indirect=True)
+def test_bilinear_sides_match_the_residual_square_by_square(table):
+    _, table = table
+    sweep = SquareSweep(PointIndex(table))
+    squares = 0
+    for m, keys in iter_move_squares(sweep.index):
+        taus = tuple(sweep.index.taus[k] for k in keys)
+        lhs, rhs = sweep.bilinear_sides(m, taus)
+        for eps in (1, -1):
+            expected = _bilinear_oracle(taus, m, eps)
+            assert lhs - eps * rhs == bilinear_residual(*taus, m, eps) == expected
+        squares += 1
+    assert squares == 3840
+
+
+@pytest.mark.parametrize("table", TABLES, indirect=True)
+def test_sigma_kernel_is_the_residual_and_minus_the_f4_step_residual(table):
+    name, table = table
+    sweep = SquareSweep(PointIndex(table))
+    steps, degenerate, nonzero = [], 0, 0
+    for m, _, s in sweep.sigma_squares():
+        s_a, s_ik, s_ij, s_jk = s
+        R = _or_degenerate(sweep.sigma_residual, m, s)
+        public = _or_degenerate(sigma_backlund_residual, *s, m)
+        stepped = _or_degenerate(sigma_step, s_a, s_ik, s_ij, m)
+        oracle = _sigma_oracle(s, m)
+        # the same squares are degenerate on every path
+        assert (R is None) == (public is None) == (stepped is None) == (oracle is None)
+        if R is None:
+            degenerate += 1
+            continue
+        diff = sigma_difference(stepped, s_jk)
+        assert R == public == oracle and diff == -R
+        assert stepped.point == s_jk.point
+        nonzero += not R.is_zero()
+        steps.append({"check": "sigma-step", "move": [m.i, m.j, m.k],
+                      "base": s_a.point.to_json(), "ok": diff.is_zero(),
+                      **({} if diff.is_zero() else {"terms": sum(1 for c in diff.coeffs if c)})})
+    assert suite_sigma_backlund(table).notes["degenerate_K"] == degenerate
+    # suite_f4 records exactly the entries of the sigma_step round trip
+    f4 = suite_f4(table).configurations
+    assert [c for c in f4 if c.get("check") == "sigma-step"] == steps
+    assert (len(steps) + degenerate, nonzero, degenerate) == SQUARES[TABLES.index(name)]

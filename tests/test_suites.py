@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 
 from p6tau import grassmann, suites
-from p6tau.backlund import bilinear_residual, calibrate_eps, iter_move_configurations
+from p6tau.backlund import (VQuad, bilinear_residual, calibrate_eps, iter_move_configurations,
+                            jmo_residual_with_v, sigma_of, v_of_point)
 from p6tau.exactalg import LaurentPoly
 from p6tau.grassmann import FrameMatrix, TauTable
+from p6tau.f4 import d4_action
 from p6tau.lattice import LatticePoint, all_moves
 from p6tau.suites import (perturb_table, suite_bilinear, suite_f4, suite_homogeneity,
                           suite_jmo, suite_miwa, suite_sigma_backlund, suite_vacuum_charge)
@@ -154,3 +156,71 @@ def test_sweep_reports_match_frozen_digests(table1, table2, radius, point, error
     got = tuple(hashlib.sha256(json.dumps(r, indent=2, sort_keys=True).encode()).hexdigest()[:16]
                 for r in reports)
     assert got == digests
+
+
+def test_d4_value_is_implied_by_squares_and_product_on_the_r2_samples(table2):
+    """suite_symmetry skips the d4 value check when the squares and the
+    product agree; on every nonzero r2 point and sample it would pass."""
+    t = LaurentPoly.t()
+    done = 0
+    for p in table2.nonzero_points():
+        v = v_of_point(p)
+        s = sigma_of(table2.get(p))
+        probe = (s.num + t * s.den, s.den)
+        base = jmo_residual_with_v(*probe, v)
+        for perm, signs in suites.D4_SAMPLES:
+            w = d4_action(v, perm, signs)
+            assert sorted(x * x for x in w.as_tuple()) == sorted(x * x for x in v.as_tuple())
+            assert w.product() == v.product()
+            assert jmo_residual_with_v(*probe, w) == base
+            done += 1
+    assert done == 905
+
+
+def test_d4_check_evaluates_the_residual_only_when_needed(table1, monkeypatch):
+    calls = []
+    evaluate = suites.jmo_residual_with_v
+
+    def counted(*args):
+        calls.append(args[2])
+        return evaluate(*args)
+
+    monkeypatch.setattr(suites, "jmo_residual_with_v", counted)
+    nonzero = len(table1.nonzero_points())
+    # suite_symmetry computes missing points into its table, so it gets copies
+    rep = suites.suite_symmetry(TauTable(table1.frame, dict(table1.entries), radius=1))
+    d4 = [c for c in rep.configurations if c["check"] == "d4"]
+    assert len(d4) == 5 * nonzero and all(c["ok"] for c in d4)
+    assert not calls
+    # a broken action changes v1: each check now evaluates the residual and
+    # fails, counting the base residual's terms when the value moved
+    monkeypatch.setattr(suites, "d4_action",
+                        lambda v, perm, signs: VQuad(v.v1 + 1, v.v2, v.v3, v.v4))
+    broken = suites.suite_symmetry(TauTable(table1.frame, dict(table1.entries), radius=1))
+    assert broken.checks == rep.checks and calls
+    t = LaurentPoly.t()
+    failures = [f for f in broken.failures if f["check"] == "d4"]
+    assert len(failures) == len(d4)
+    for f in failures:
+        p = LatticePoint(f["point"])
+        v = v_of_point(p)
+        s = sigma_of(table1.get(p))
+        probe = (s.num + t * s.den, s.den)
+        base = evaluate(*probe, v)
+        moved = evaluate(*probe, VQuad(v.v1 + 1, v.v2, v.v3, v.v4)) != base
+        assert f["terms"] == (sum(1 for c in base.coeffs if c) if moved else 0)
+    assert any(f["terms"] > 0 for f in failures)
+
+
+@pytest.mark.parametrize("name", sorted(suites.SUITES))
+def test_suites_without_configurations_keep_only_failures(table2, name):
+    point = (0, 0, 0, -2, 0, 2) if name == "jmo" else (0, 0, 0, 1, -1, 0)
+
+    def table():  # a fresh copy each time: suite_symmetry grows its table
+        return perturb_table(table2, LatticePoint(point))
+
+    full, = suites.run_suites(table(), [name])
+    short, = suites.run_suites(table(), [name], configurations=False)
+    assert full.failures and full.checks == short.checks == len(full.configurations)
+    assert short.failures == full.failures and short.configurations == []
+    assert short.to_json() == {k: v for k, v in full.to_json().items() if k != "configurations"}
