@@ -8,7 +8,8 @@ finite determinant (Cauchy-Binet over the head): ``tau_det`` evaluates it at
 x = (0, 1, 1/t), exactly and without fractions, to give the one-variable tau
 ``TauT``; ``TauTable`` holds one per lattice point.  Two exact guards run on
 every point: the degree count of the matrix must be the weight R, so P is
-homogeneous of degree R, and P must be translation invariant, so the
+homogeneous of degree R, and the matrix must satisfy D N = N T for
+D = d1 + d2 + d3 and a nilpotent T, so P is translation invariant and the
 substitution x1 = u, x2 = u + h, x3 = u + h/t leaves h^R T(t) with no u.
 
 The wedge path computes the same P term by term and serves the x-level
@@ -84,7 +85,7 @@ class FrameMatrix:
     by the determinant of the input; every stored row is in this gauge.
     """
 
-    __slots__ = ("rows", "dual")
+    __slots__ = ("rows", "dual", "integer_rows")
 
     def __init__(self, rows):
         rs = tuple(tuple(as_scalar(x) for x in row) for row in rows)
@@ -97,6 +98,10 @@ class FrameMatrix:
         if d != 1:
             self.rows = (tuple(x / d for x in rs[0]),) + rs[1:]
         self.dual = self._invert_transpose()
+        # (d, n): d[j] is the common denominator of row j, n[j] = d[j] * row j
+        dens = tuple(math.lcm(*(f.denominator for f in row)) for row in self.rows)
+        self.integer_rows = (dens, tuple(tuple(int(d * f) for f in row)
+                                         for d, row in zip(dens, self.rows)))
 
     @classmethod
     def vandermonde(cls) -> "FrameMatrix":
@@ -502,6 +507,24 @@ def _interpolate_times_factorial(values: list[int]) -> list[int]:
     return coeffs
 
 
+def _check_shift(point, rows, cols, entries, m) -> None:
+    """Raise GaugeDependence unless D N = N T on the rescaled entry table,
+    with D = d1 + d2 + d3 and T sending column (j, k+1) to (j, k) with the
+    factor k+1-m.  In row (k', a) the entry (w, e) is w x_a^e, so D gives
+    (w e, e-1) and T gives ((k+1-m) w', e') from the entry (w', e') of
+    column (j, k+1), or zero when there is no such column; a zero entry
+    compares as (0, 0), whatever its e.  T is nilpotent (it lowers k), so
+    Jacobi's formula gives D det N = det N tr T = 0."""
+    at = {jk: i for i, jk in enumerate(cols)}
+    for (kp, a), row in zip(rows, entries):
+        for (j, k), (w, e) in zip(cols, row):
+            i = at.get((j, k + 1))
+            w2, e2 = row[i] if i is not None else (0, 0)
+            if (w * e, e - 1 if w * e else 0) != ((k + 1 - m) * w2, e2 if w2 else 0):
+                raise GaugeDependence(f"u survives in the entry table of {point}:"
+                                      f" D N != N T at row {(kp, a)}, column {(j, k)}")
+
+
 def tau_det(point: LatticePoint, frame: FrameMatrix) -> TauT:
     """T_p(t) = family_sign(mu) * eta(c) * det N_c(0, 1, 1/t) for p = (c, mu).
 
@@ -519,8 +542,14 @@ def tau_det(point: LatticePoint, frame: FrameMatrix) -> TauT:
     form times R!); one common denominator undoes the scalings.
     Every term of det N_c has degree sum(k') - sum(k), which must be R
     (else HomogeneityViolation), so P(x) = det N_c(x) is homogeneous of
-    degree R; then P(u, 1+u, s+u) = P(0, 1, s) on the grid u >= 1, u+s <= R
-    proves that P is translation invariant (else GaugeDependence).
+    degree R.  P is translation invariant for every frame: family j's
+    columns are the contiguous run mu_j <= k < L and h_n(x + u) =
+    sum_i h_(n-i)(x) h_i(u) for h_n(x) = x^n / n!, so N_c(x + u(1,1,1)) =
+    N_c(x) U(u) with U unitriangular.  Equivalently D N = N T, with
+    D = d1 + d2 + d3 and T the nilpotent column shift, and Jacobi's formula
+    gives D det N = det N tr T = 0.  ``_check_shift`` proves D N = N T on the
+    entry table of every point, and one translated evaluation, P(1, 2, 1) =
+    P(0, 1, 0), guards the evaluation itself (else GaugeDependence).
     """
     weight = r_weight(point)
     c, mu = point.charge, point.mu
@@ -534,15 +563,13 @@ def tau_det(point: LatticePoint, frame: FrameMatrix) -> TauT:
         raise HomogeneityViolation(f"the determinant of {point} has degree"
                                    f" other than its weight {weight}")
     m = min([kp for kp, _ in rows] + [k for _, k in cols], default=0)
-    denominators = [math.lcm(*(f.denominator for f in row)) for row in frame.rows]
-    ints = [[int(d * f) for f in row] for d, row in zip(denominators, frame.rows)]
+    denominators, ints = frame.integer_rows
     entries = [[(ints[j][a] * math.comb(kp - m, k - m), kp - k) if kp >= k else (0, 0)
                 for j, k in cols] for kp, a in rows]
+    _check_shift(point, rows, cols, entries, m)
     values = [_bareiss(_integer_matrix(rows, entries, (0, 1, s))) for s in range(weight + 1)]
-    for u in range(1, weight + 1):
-        for s in range(weight + 1 - u):
-            if _bareiss(_integer_matrix(rows, entries, (u, 1 + u, s + u))) != values[s]:
-                raise GaugeDependence(f"u survives in the determinant of {point}")
+    if weight and _bareiss(_integer_matrix(rows, entries, (1, 2, 1))) != values[0]:
+        raise GaugeDependence(f"u survives in the determinant of {point}")
     coeffs = _interpolate_times_factorial(values)
     # undo R! and the row and column scalings
     num = family_sign(mu) * _eta(c)

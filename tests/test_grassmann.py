@@ -1,8 +1,10 @@
 import itertools
+import math
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from p6tau import cli, grassmann
 from p6tau.exactalg import LaurentPoly
@@ -336,6 +338,67 @@ def test_tau_det_rejects_a_wrong_degree_count(monkeypatch, tmp_path, capsys):
         TauTable.build(FrameMatrix.vandermonde(), 1)
     assert cli.main(["gen", "--radius", "1", "--out", str(tmp_path / "x.json")]) == 2
     assert "degree" in capsys.readouterr().err
+
+
+def test_tau_det_rejects_an_entry_table_without_the_shift(monkeypatch, tmp_path, capsys):
+    # C(1, 0) read as 2 breaks D N = N T in the entry table itself, which the
+    # shift check sees before any determinant is evaluated
+    comb = math.comb
+    monkeypatch.setattr(grassmann.math, "comb", lambda n, k: comb(n, k) + ((n, k) == (1, 0)))
+    with pytest.raises(GaugeDependence, match="entry table"):
+        TauTable.build(FrameMatrix.vandermonde(), 1)
+    assert cli.main(["gen", "--radius", "1", "--out", str(tmp_path / "x.json")]) == 2
+    assert "u survives in the entry table" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("frame_rows", ORACLE_FRAMES.values(), ids=ORACLE_FRAMES.keys())
+def test_shift_check_and_translation_lemma_on_ball2(monkeypatch, frame_rows):
+    # the shift check runs on every point with a matrix and passes; and the
+    # lemma behind it holds on each rescaled matrix M on its own:
+    # M(x + u(1,1,1)) = M(x) V(u) with V[(j, k''), (j, k)] = C(k''-m, k-m) u^(k''-k)
+    check = grassmann._check_shift
+    seen = []
+
+    def spy(point, rows, cols, entries, m):
+        check(point, rows, cols, entries, m)
+        seen.append((point, rows, cols, entries, m))
+
+    monkeypatch.setattr(grassmann, "_check_shift", spy)
+    f = FrameMatrix(frame_rows)
+    for p in ball(2):
+        tau_det(p, f)
+    assert {s[0] for s in seen} == {
+        p for p in ball(2)
+        if r_weight(p) >= 0 and all(max(p.mu) + c >= 0 for c in p.charge)}
+    x, u = (3, -2, 5), 2
+    for point, rows, cols, entries, m in seen:
+        v = [[math.comb(k2 - m, k - m) * u ** (k2 - k) if j2 == j and k2 >= k else 0
+              for j, k in cols] for j2, k2 in cols]
+        at_x = grassmann._integer_matrix(rows, entries, x)
+        times_v = [[sum(a * b for a, b in zip(row, col)) for col in zip(*v)] for row in at_x]
+        assert grassmann._integer_matrix(rows, entries, tuple(xa + u for xa in x)) == times_v, point
+
+
+def _nonsingular(rows):
+    try:
+        return FrameMatrix(rows)
+    except grassmann.SingularFrame:
+        return None
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.lists(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9),
+                         min_size=3, max_size=3), min_size=3, max_size=3))
+def test_tau_det_matches_seed_table_on_random_frames(frame_rows):
+    f = _nonsingular(frame_rows)
+    assume(f is not None)
+    families = {mu: seed_table(mu, f) for mu in {p.mu for p in ball(1)}}
+    for p in ball(1):
+        got = tau_det(p, f)
+        if got.weight < 0:
+            assert got.is_zero()
+        else:
+            assert got == families[p.mu][p.charge], p
 
 
 # ---------------------------------------------------------------------------
