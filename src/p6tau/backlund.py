@@ -11,7 +11,10 @@ factor); a relation holds iff its residual is literally zero.
 
 Sweeps find their configurations (move squares, six-point stencils, Toda
 neighbours) through a PointIndex, which keys every point of one table by an
-integer, so that a step along a root is an integer addition.
+integer, so that a step along a root is an integer addition.  The move
+squares of a table are walked once, by a SquareSweep: each square's bilinear
+sides and sigma-square residual are computed there once, for every suite
+that reads them.
 """
 
 from __future__ import annotations
@@ -501,27 +504,53 @@ def sigma_backlund_residual(s_a: SigmaFn, s_ik: SigmaFn, s_ij: SigmaFn,
 
 
 # ---------------------------------------------------------------------------
-# one sweep over the move squares of a table
+# one walk over the move squares of a table
 # ---------------------------------------------------------------------------
 
+class Square(NamedTuple):
+    """One move square of a walk.  `taus` are its corners (Ta, Tik, Tij, Tjk);
+    `sides` is (L, P) when the walk computes them, else None; `sigmas` the
+    corners' sigmas when the walk computes them and all four taus are
+    nonzero, else None; `residual` the sigma-square residual R of those
+    sigmas, None where there are none or K vanishes."""
+
+    taus: tuple
+    sides: tuple | None
+    sigmas: tuple | None
+    residual: LaurentPoly | None
+
+
 class SquareSweep:
-    """The move squares of one indexed table, with every per-point and
-    per-edge polynomial computed once: sigma per nonzero point, and per edge
-    (a, ik) its bilinear_edge and sigma_edge terms.  The edge cache is
+    """One walk over the move squares of a table, which every move-square
+    suite (bilinear, sigma-backlund, f4) and calibrate_eps read.  It computes
+    each polynomial they share once: sigma per nonzero point, the
+    bilinear_edge and sigma_edge terms per edge (a, ik), and per square its
+    bilinear sides (L, P) and its sigma-square residual R.  The edge cache is
     dropped whenever the move's i changes, once per i in all_moves() order."""
 
-    def __init__(self, index: PointIndex):
-        self.index = index
+    def __init__(self, table: TauTable):
+        self.table, self.index = table, PointIndex(table)
         self._edges, self._i = {}, None
 
-    def sigma_squares(self):
-        """(m, taus, sigmas) of every move square whose four taus are nonzero,
-        corners in the order (a, ik, ij, jk)."""
-        taus = self.index.taus
-        sigma = {k: sigma_of(tau) for k, tau in taus.items() if not tau.is_zero()}
-        for m, keys in iter_move_squares(self.index):
-            if all(k in sigma for k in keys):
-                yield m, tuple(taus[k] for k in keys), tuple(sigma[k] for k in keys)
+    def moves(self, sides: bool = True, sigmas: bool = True):
+        """(m, squares) for every move in all_moves() order, squares being
+        the Square of each of its configurations, bases in table.points()
+        order; the sides are computed when `sides`, sigmas and R when `sigmas`."""
+        sigma = ({tau.point: sigma_of(tau) for tau in self.index.taus.values()
+                  if not tau.is_zero()} if sigmas else {})
+        for m in all_moves():
+            squares = []
+            for taus in iter_move_configurations(self.table, m, self.index):
+                s = R = None
+                if sigmas and not any(tau.is_zero() for tau in taus):
+                    s = tuple(sigma[tau.point] for tau in taus)
+                    try:
+                        R = self.sigma_residual(m, s)
+                    except DegenerateK:
+                        pass
+                squares.append(Square(taus, self.bilinear_sides(m, taus) if sides else None,
+                                      s, R))
+            yield m, squares
 
     def _edge(self, m: MoveIJK, key, build):
         """build(), computed once per key while the move's i stays the same."""
@@ -555,29 +584,20 @@ class SquareSweep:
 # sign calibration
 # ---------------------------------------------------------------------------
 
-def iter_bilinear_sides(table: TauTable):
-    """(m, sides) for every move in all_moves() order, where sides lists
-    (Ta, Tij, Tjk, L, P) for each square of the move: L is the left side
-    bilinear_combination(Ta, Tik, m) and P = Tij Tjk the right side without
-    its sign."""
-    sweep = SquareSweep(PointIndex(table))
-    for m in all_moves():
-        yield m, [(taus[0], taus[2], taus[3], *sweep.bilinear_sides(m, taus))
-                  for taus in iter_move_configurations(table, m, sweep.index)]
-
-
-def move_sign(m: MoveIJK, sides) -> int:
-    """The one sign eps with L = eps P on every square of the move.
+def move_sign(m: MoveIJK, squares) -> int:
+    """The one sign eps with L = eps P on every square of the move, from the
+    squares' sides (L, P).
 
     A point-dependent sign or an unmatchable square raises NoConsistentSign,
     a move without a square of nonzero P InsufficientData.
     """
     sign = None
-    for t_a, _, _, lhs, rhs in sides:
+    for square in squares:
+        lhs, rhs = square.sides
         if rhs.is_zero():
             if not lhs.is_zero():
                 raise NoConsistentSign(
-                    f"move {m} at {t_a.point}: left side nonzero, product zero"
+                    f"move {m} at {square.taus[0].point}: left side nonzero, product zero"
                 )
             continue
         if lhs == rhs:
@@ -585,7 +605,7 @@ def move_sign(m: MoveIJK, sides) -> int:
         elif lhs == -rhs:
             found = -1
         else:
-            raise NoConsistentSign(f"move {m} at {t_a.point}: no sign matches")
+            raise NoConsistentSign(f"move {m} at {square.taus[0].point}: no sign matches")
         if sign is None:
             sign = found
         elif sign != found:
@@ -602,5 +622,5 @@ def calibrate_eps(table: TauTable) -> EpsTable:
     an unmatchable configuration raises NoConsistentSign, an uninformative
     table (no configuration with a nonzero right side) InsufficientData.
     """
-    return EpsTable({(m.i, m.j, m.k): move_sign(m, sides)
-                     for m, sides in iter_bilinear_sides(table)})
+    return EpsTable({(m.i, m.j, m.k): move_sign(m, squares)
+                     for m, squares in SquareSweep(table).moves(sigmas=False)})

@@ -52,7 +52,10 @@ class RunConfig:
     def load_frame(self) -> FrameMatrix:
         if self.frame_path:
             with open(self.frame_path) as fh:
-                return FrameMatrix.from_json(json.load(fh))
+                try:
+                    return FrameMatrix.from_json(json.load(fh))
+                except ValueError as exc:
+                    raise ValueError(f"{self.frame_path}: {exc}") from exc
         if self.preset in (None, "vandermonde"):
             return FrameMatrix.vandermonde()
         raise ValueError(f"unknown preset {self.preset!r}")
@@ -106,8 +109,11 @@ def load_table(path: str) -> TauTable:
         for key in ("frame", "entries"):
             if not isinstance(payload, dict) or key not in payload:
                 raise ValueError(f"table has no {key!r} field")
+        radius = payload.get("radius")
+        if radius is not None and (type(radius) is not int or radius < 0):
+            raise ValueError(f"radius {radius!r} is not a non-negative integer")
         frame = FrameMatrix.from_json(payload["frame"])
-        return TauTable.from_json(payload["entries"], frame=frame, radius=payload.get("radius"))
+        return TauTable.from_json(payload["entries"], frame=frame, radius=radius)
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:

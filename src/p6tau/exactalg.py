@@ -39,11 +39,15 @@ class NotDivisible(ArithmeticError):
 
 
 def as_scalar(x) -> Fraction:
-    """Coerce ints, strings like "3/4", and Fractions to a Scalar."""
+    """Coerce ints, strings like "3/4", and Fractions to a Scalar; a bool is
+    no scalar."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"{x!r} has a zero denominator") from None
     raise TypeError(f"cannot interpret {x!r} as an exact scalar")
 
 

@@ -148,7 +148,12 @@ class FrameMatrix:
 
     @classmethod
     def from_json(cls, data) -> "FrameMatrix":
-        return cls(data)
+        """Frame from its rows; a malformed or singular one raises
+        ValueError naming the frame."""
+        try:
+            return cls(data)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"frame: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +390,15 @@ class TauT:
         to_json would not write raises ValueError."""
         if not isinstance(d, Mapping):
             raise ValueError(f"table entry {d!r} is not an object")
-        T = LaurentPoly.from_json(d["T"])
+        try:
+            T = LaurentPoly.from_json(d["T"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"T of point {d['point']}: {exc}") from exc
         if T.to_json() != d["T"]:
             raise ValueError(f"coefficients of point {d['point']} are not canonical: {d['T']}")
-        return cls(LatticePoint.from_json(d["point"]), T, int(d["weight"]))
+        if type(d["weight"]) is not int:
+            raise ValueError(f"weight {d['weight']!r} of point {d['point']} is not an integer")
+        return cls(LatticePoint.from_json(d["point"]), T, d["weight"])
 
 
 def tau_in_x(mu, frame: FrameMatrix, terms=None) -> dict[tuple[int, int, int], dict]:

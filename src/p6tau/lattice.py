@@ -67,7 +67,11 @@ class LatticePoint:
 
     @classmethod
     def from_json(cls, data) -> "LatticePoint":
-        return cls(tuple(int(x) for x in data))
+        """Point from a list of six integers; any other entry, a float or a
+        bool included, raises ValueError."""
+        if not isinstance(data, list) or not all(type(x) is int for x in data):
+            raise ValueError(f"point {data!r} is not a list of integers")
+        return cls(tuple(data))
 
     def __str__(self):
         return "(" + ",".join(str(a) for a in self.alpha) + ")"

@@ -12,7 +12,6 @@ import itertools
 from dataclasses import dataclass, field
 
 from .backlund import (
-    DegenerateK,
     EpsTable,
     InsufficientData,
     NoConsistentSign,
@@ -20,7 +19,6 @@ from .backlund import (
     TODA_PAIRS,
     SquareSweep,
     eps_block_inversions,
-    iter_bilinear_sides,
     iter_miwa_stencils,
     jmo_residual,
     jmo_residual_with_v,
@@ -139,39 +137,6 @@ def suite_toda(table: TauTable, configurations: bool = True) -> SuiteReport:
     return rep
 
 
-def suite_bilinear(table: TauTable, configurations: bool = True) -> SuiteReport:
-    """The bilinear relation on every move square, in one pass: per move, the
-    sign is calibrated from the squares' (L, P) pairs, then each square checks
-    L - eps P and the solve-fourth division L / (eps Tij) against Tjk.  A
-    calibration failure replaces the whole report, with calibrate_eps's error."""
-    rep = SuiteReport("bilinear", keep=configurations)
-    signs = {}
-    try:
-        for m, sides in iter_bilinear_sides(table):
-            sign = signs[(m.i, m.j, m.k)] = move_sign(m, sides)
-            for t_a, t_ij, t_jk, lhs, rhs in sides:
-                residual = lhs - rhs if sign == 1 else lhs + rhs
-                rep.record(residual.is_zero(), _terms(residual),
-                           move=[m.i, m.j, m.k], base=t_a.point.to_json())
-                if not t_ij.is_zero():
-                    solved = lhs.exact_divide(t_ij.T if sign == 1 else -t_ij.T)
-                    rep.record(solved == t_jk.T, _terms(solved - t_jk.T), check="solve-fourth",
-                               move=[m.i, m.j, m.k], base=t_a.point.to_json())
-    except (NoConsistentSign, InsufficientData) as exc:
-        rep = SuiteReport("bilinear", keep=configurations)
-        rep.record(False, 1, check="calibration", error=str(exc))
-        return rep
-    eps = EpsTable(signs)
-    rep.notes["eps_table"] = eps.to_json()
-    formula_matches = all(
-        eps[(m.i, m.j, m.k)] == eps_block_inversions(m.i, m.j, m.k) for m in all_moves()
-    )
-    rep.notes["eps_matches_closed_form"] = formula_matches
-    if not formula_matches:
-        rep.record(False, 0, check="eps-closed-form")
-    return rep
-
-
 def miwa_bases(table: TauTable):
     """Candidate 6-vectors beta (entries summing to -2) near the table."""
     seen = set()
@@ -215,92 +180,210 @@ def suite_jmo(table: TauTable, configurations: bool = True) -> SuiteReport:
     return rep
 
 
-def suite_sigma_backlund(table: TauTable, configurations: bool = True) -> SuiteReport:
-    rep = SuiteReport("sigma-backlund", keep=configurations)
-    degenerate = 0
-    sweep = SquareSweep(PointIndex(table))
-    for m, taus, s in sweep.sigma_squares():
+# ---------------------------------------------------------------------------
+# move-square suites: one walk feeds bilinear, sigma-backlund and f4
+# ---------------------------------------------------------------------------
+
+class _Bilinear:
+    """Per move, the sign is calibrated from the squares' (L, P) pairs, then
+    each square checks L - eps P and the solve-fourth division L / (eps Tij)
+    against Tjk.  A calibration failure replaces the whole report, with
+    calibrate_eps's error."""
+
+    sides, sigmas = True, False
+
+    def __init__(self, sweep: SquareSweep, configurations: bool):
+        self.rep = SuiteReport("bilinear", keep=configurations)
+        self.signs, self.error = {}, None
+
+    def move(self, m, squares):
+        if self.error is not None:
+            return
         try:
-            res = sweep.sigma_residual(m, s)
-        except DegenerateK:
-            degenerate += 1
-            continue
-        labels = {"move": [m.i, m.j, m.k], "base": taus[0].point.to_json()}
-        rep.record(res.is_zero(), _terms(res), **labels)
-        # implication: the bilinear residual vanishes on the same square; a
-        # failure counts the terms of whichever residual is nonzero, sigma's first
-        lhs, rhs = sweep.bilinear_sides(m, taus)
-        bil = lhs - rhs if eps_block_inversions(m.i, m.j, m.k) == 1 else lhs + rhs
-        rep.record(bil.is_zero() and res.is_zero(), _terms(bil if res.is_zero() else res),
-                   check="implication", **labels)
-    rep.notes["degenerate_K"] = degenerate
-    return rep
+            sign = self.signs[(m.i, m.j, m.k)] = move_sign(m, squares)
+        except (NoConsistentSign, InsufficientData) as exc:
+            self.error = exc
+            return
+        labels = {"move": [m.i, m.j, m.k]}
+        for square in squares:
+            t_a, _, t_ij, t_jk = square.taus
+            lhs, rhs = square.sides
+            residual = lhs - rhs if sign == 1 else lhs + rhs
+            base = t_a.point.to_json()
+            self.rep.record(residual.is_zero(), _terms(residual), **labels, base=base)
+            if not t_ij.is_zero():
+                solved = lhs.exact_divide(t_ij.T if sign == 1 else -t_ij.T)
+                self.rep.record(solved == t_jk.T, _terms(solved - t_jk.T), check="solve-fourth",
+                                **labels, base=base)
+
+    def report(self) -> SuiteReport:
+        rep = self.rep
+        if self.error is not None:
+            rep = SuiteReport("bilinear", keep=rep.keep)
+            rep.record(False, 1, check="calibration", error=str(self.error))
+            return rep
+        eps = EpsTable(self.signs)
+        rep.notes["eps_table"] = eps.to_json()
+        formula_matches = all(
+            eps[(m.i, m.j, m.k)] == eps_block_inversions(m.i, m.j, m.k) for m in all_moves()
+        )
+        rep.notes["eps_matches_closed_form"] = formula_matches
+        if not formula_matches:
+            rep.record(False, 0, check="eps-closed-form")
+        return rep
 
 
-# ---------------------------------------------------------------------------
-# correspondence and symmetry suites
-# ---------------------------------------------------------------------------
+class _SigmaBacklund:
+    """The sigma-level relation on every square of four nonzero taus, and its
+    implication: the bilinear residual, with the closed-form sign, vanishes
+    on the same square.  Squares where K vanishes are counted, not checked."""
 
-def suite_f4(table: TauTable, configurations: bool = True) -> SuiteReport:
+    sides, sigmas = True, True
+
+    def __init__(self, sweep: SquareSweep, configurations: bool):
+        self.rep = SuiteReport("sigma-backlund", keep=configurations)
+        self.degenerate = 0
+
+    def move(self, m, squares):
+        rep, sign = self.rep, eps_block_inversions(m.i, m.j, m.k)
+        for square in squares:
+            if square.sigmas is None:
+                continue
+            res = square.residual
+            if res is None:
+                self.degenerate += 1
+                continue
+            labels = {"move": [m.i, m.j, m.k], "base": square.taus[0].point.to_json()}
+            rep.record(res.is_zero(), _terms(res), **labels)
+            # a failure counts the terms of whichever residual is nonzero, sigma's first
+            lhs, rhs = square.sides
+            bil = lhs - rhs if sign == 1 else lhs + rhs
+            rep.record(bil.is_zero() and res.is_zero(), _terms(bil if res.is_zero() else res),
+                       check="implication", **labels)
+
+    def report(self) -> SuiteReport:
+        self.rep.notes["degenerate_K"] = self.degenerate
+        return self.rep
+
+
+class _F4:
     """The F4 correspondence on the table: membership of each point's image,
-    the simple roots, the short-root sets, and Toda and sigma steps round-trip.
+    the simple roots, the short-root sets and the Toda steps, recorded before
+    the walk, and the sigma steps, recorded from the walk's squares.
 
     A sigma step's round-trip residual sigma_difference(sigma_step(s_a,
     s_ik, s_ij, m), s_jk) is exactly -R, R the sigma-backlund residual of
     the square (backlund.sigma_square_residual), and it is degenerate on the
-    same squares; so each step is checked through R, which holds the same
-    verdict and term count.
+    same squares; so each step is checked through the R that the walk
+    computes once per square for this suite and sigma-backlund, which holds
+    the same verdict and term count.
 
     The membership check cannot fail: a5_to_f4 writes the doubled coordinates
     (a1+a3)+2a_{3+i} and a1-a3, which always share their parity, so every
     lattice point has an image.  It is kept, one check per point, as the
     record that every point of the table was mapped.
     """
-    rep = SuiteReport("f4", keep=configurations)
-    for p in table.points():
-        try:
-            a5_to_f4(p)
-            ok = True
-        except ValueError:
-            ok = False
-        rep.record(ok, 0 if ok else 1, check="membership", point=p.to_json())
-    roots = simple_roots_check()
-    rep.notes["simple_roots"] = roots
-    for row in roots:
-        rep.record(row["match"], 0 if row["match"] else 1, check="simple-root",
-                   root=row["root"])
-    short = all(v.finite_norm() == 1 for s in short_sets() for v in s.elements)
-    rep.record(short, 0 if short else 1, check="short-sets")
-    rep.notes["toda_gamma_pairs"] = [
-        {"gamma": vec.to_json(), "pair": list(pair)} for vec, pair in TODA_GAMMAS
-    ]
-    # Toda steps round-trip
-    index = PointIndex(table)
-    taus = index.taus
-    for vec, pair in TODA_GAMMAS:
-        v = index.shift(*pair)
-        for k in index.bases:
-            t_beta = taus[k]
-            if t_beta.is_zero():
-                continue
-            t_plus, t_minus = taus.get(k + v), taus.get(k - v)
-            if t_plus is None or t_minus is None or t_plus.is_zero():
-                continue
-            stepped = toda_step_f4(t_beta, t_plus, vec)
-            rep.record(stepped.T == t_minus.T, _terms(stepped.T - t_minus.T),
-                       check="toda-step", point=t_beta.point.to_json(), pair=list(pair))
-    # sigma steps round-trip: a step along (g1, g2) in S_j is the move (i, j, k)
-    # with d_i - d_k = pre(g1) - pre(g2), so every move square is one step
-    sweep = SquareSweep(index)
-    for m, _, s in sweep.sigma_squares():
-        try:
-            res = sweep.sigma_residual(m, s)
-        except DegenerateK:
-            continue
-        rep.record(res.is_zero(), _terms(res), check="sigma-step", move=[m.i, m.j, m.k],
-                   base=s[0].point.to_json())
-    return rep
 
+    sides, sigmas = False, True
+
+    def __init__(self, sweep: SquareSweep, configurations: bool):
+        self.rep = rep = SuiteReport("f4", keep=configurations)
+        for p in sweep.table.points():
+            try:
+                a5_to_f4(p)
+                ok = True
+            except ValueError:
+                ok = False
+            rep.record(ok, 0 if ok else 1, check="membership", point=p.to_json())
+        roots = simple_roots_check()
+        rep.notes["simple_roots"] = roots
+        for row in roots:
+            rep.record(row["match"], 0 if row["match"] else 1, check="simple-root",
+                       root=row["root"])
+        short = all(v.finite_norm() == 1 for s in short_sets() for v in s.elements)
+        rep.record(short, 0 if short else 1, check="short-sets")
+        rep.notes["toda_gamma_pairs"] = [
+            {"gamma": vec.to_json(), "pair": list(pair)} for vec, pair in TODA_GAMMAS
+        ]
+        index = sweep.index
+        taus = index.taus
+        for vec, pair in TODA_GAMMAS:
+            v = index.shift(*pair)
+            for k in index.bases:
+                t_beta = taus[k]
+                if t_beta.is_zero():
+                    continue
+                t_plus, t_minus = taus.get(k + v), taus.get(k - v)
+                if t_plus is None or t_minus is None or t_plus.is_zero():
+                    continue
+                stepped = toda_step_f4(t_beta, t_plus, vec)
+                rep.record(stepped.T == t_minus.T, _terms(stepped.T - t_minus.T),
+                           check="toda-step", point=t_beta.point.to_json(), pair=list(pair))
+
+    def move(self, m, squares):
+        # a step along (g1, g2) in S_j is the move (i, j, k) with
+        # d_i - d_k = pre(g1) - pre(g2), so every move square is one step
+        for square in squares:
+            res = square.residual
+            if res is not None:
+                self.rep.record(res.is_zero(), _terms(res), check="sigma-step",
+                                move=[m.i, m.j, m.k], base=square.taus[0].point.to_json())
+
+    def report(self) -> SuiteReport:
+        return self.rep
+
+
+SQUARE_SUITES = {"bilinear": _Bilinear, "sigma-backlund": _SigmaBacklund, "f4": _F4}
+
+
+class SquarePass:
+    """The reports of the move-square suites in `names`, repeats included,
+    from one SquareSweep walk over the table.  The walk runs when the first
+    report is taken, and runs again, for the reports not yet taken, when the
+    table has grown since (suite_symmetry computes missing points into it)."""
+
+    def __init__(self, table: TauTable, names, configurations: bool = True):
+        self.table, self.names, self.configurations = table, list(names), configurations
+        self.reports, self.size = [], None
+
+    def take(self, name: str) -> SuiteReport:
+        if self.size != len(self.table):
+            sweep = SquareSweep(self.table)
+            suites = [SQUARE_SUITES[n](sweep, self.configurations) for n in self.names]
+            for m, squares in sweep.moves(sides=any(s.sides for s in suites),
+                                          sigmas=any(s.sigmas for s in suites)):
+                for suite in suites:
+                    suite.move(m, squares)
+            self.reports, self.size = [suite.report() for suite in suites], len(self.table)
+        i = self.names.index(name)
+        del self.names[i]
+        return self.reports.pop(i)
+
+
+def suite_bilinear(table: TauTable, configurations: bool = True,
+                   squares: SquarePass | None = None) -> SuiteReport:
+    """_Bilinear's report, from run_suites' shared walk when given one."""
+    return (squares or SquarePass(table, ["bilinear"], configurations)).take("bilinear")
+
+
+def suite_sigma_backlund(table: TauTable, configurations: bool = True,
+                         squares: SquarePass | None = None) -> SuiteReport:
+    """_SigmaBacklund's report, from run_suites' shared walk when given one."""
+    return (squares or SquarePass(table, ["sigma-backlund"], configurations)).take(
+        "sigma-backlund")
+
+
+def suite_f4(table: TauTable, configurations: bool = True,
+             squares: SquarePass | None = None) -> SuiteReport:
+    """The F4 correspondence (_F4).  Its sigma steps are checked through the
+    R of each square that the walk computes once, for this suite and
+    sigma-backlund alike; from run_suites' shared walk when given one."""
+    return (squares or SquarePass(table, ["f4"], configurations)).take("f4")
+
+
+# ---------------------------------------------------------------------------
+# correspondence and symmetry suites
+# ---------------------------------------------------------------------------
 
 D4_SAMPLES = (
     ((0, 1, 2, 3), (1, 1, 1, 1)),
@@ -371,12 +454,14 @@ SUITES = {
 
 
 def run_suites(table: TauTable, names, configurations: bool = True) -> list[SuiteReport]:
-    reports = []
+    """The reports of the named suites, in order; the move-square suites
+    among them share one walk of the table's squares (SquarePass)."""
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-        reports.append(SUITES[name](table, configurations))
-    return reports
+    squares = SquarePass(table, [n for n in names if n in SQUARE_SUITES], configurations)
+    return [SUITES[name](table, configurations, *([squares] if name in SQUARE_SUITES else []))
+            for name in names]
 
 
 def perturb_table(table: TauTable, point: LatticePoint, bump=1) -> TauTable:

@@ -275,8 +275,56 @@ def _unreduced_fraction(payload):
     coeffs[0] = f"{2 * c.numerator}/{2 * c.denominator}"
 
 
+def _bool_in_frame(payload):
+    payload["frame"][0][0] = True
+
+
+def _zero_denominator_in_frame(payload):
+    payload["frame"][0][0] = "1/0"
+
+
+def _zero_denominator_in_coeffs(payload):
+    _first_T(payload)["coeffs"][0] = "1/0"
+
+
+def _fractional_point(payload):
+    # truncated entry by entry, this would read as (-2, 0, 0, 0, 0, 2)
+    payload["entries"][0]["point"] = [-2.25, 0.25, 0.25, 0.25, 0.25, 2.25]
+
+
+def _bool_in_point(payload):
+    point = payload["entries"][0]["point"]
+    payload["entries"][0]["point"] = [True] + point[1:]
+
+
+def _float_weight(payload):
+    payload["entries"][0]["weight"] = float(payload["entries"][0]["weight"])
+
+
+def _bool_weight(payload):
+    payload["entries"][0]["weight"] = False
+
+
+def _radius(value):
+    def mutate(payload):
+        payload["radius"] = value
+    return mutate
+
+
 @pytest.mark.parametrize("mutate, problem", [
     pytest.param(_float_in_frame, "0.5", id="float-in-frame"),
+    pytest.param(_bool_in_frame, "frame: cannot interpret True", id="bool-in-frame"),
+    pytest.param(_zero_denominator_in_frame, "frame: '1/0' has a zero denominator",
+                 id="zero-denominator-in-frame"),
+    pytest.param(_zero_denominator_in_coeffs, "'1/0' has a zero denominator",
+                 id="zero-denominator-in-coeffs"),
+    pytest.param(_fractional_point, "is not a list of integers", id="fractional-point"),
+    pytest.param(_bool_in_point, "is not a list of integers", id="bool-in-point"),
+    pytest.param(_float_weight, "is not an integer", id="float-weight"),
+    pytest.param(_bool_weight, "weight False", id="bool-weight"),
+    pytest.param(_radius("r"), "radius 'r'", id="radius-not-a-number"),
+    pytest.param(_radius(-7), "radius -7", id="negative-radius"),
+    pytest.param(_radius(2.0), "radius 2.0", id="float-radius"),
     pytest.param(_float_in_coeffs, "0.5", id="float-in-coeffs"),
     pytest.param(_entries_not_a_list, "not a list", id="entries-not-a-list"),
     pytest.param(_entry_not_an_object, "not an object", id="entry-not-an-object"),
@@ -292,6 +340,18 @@ def test_table_with_malformed_value_rejected(table_file, tmp_path, capsys, mutat
     assert main(["verify", "--table", str(bad), "--suites", "toda"]) == 2
     err = capsys.readouterr().err
     assert problem in err and "bad.json" in err
+
+
+@pytest.mark.parametrize("entry, problem", [("1/0", "'1/0' has a zero denominator"),
+                                            (0.5, "cannot interpret 0.5")])
+def test_gen_rejects_malformed_frame_entry(tmp_path, capsys, entry, problem):
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps([["1", "1", "1"], ["1", "2", entry], ["1", "3", "9"]]))
+    code = main(["gen", "--frame", str(frame), "--radius", "1",
+                 "--out", str(tmp_path / "x.json")])
+    err = capsys.readouterr().err
+    assert code == 2 and problem in err and "frame.json: frame:" in err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_table_with_duplicate_point_rejected(table_file, tmp_path, capsys):

@@ -1,13 +1,13 @@
-"""The sigma-square kernel and the cached bilinear sides of SquareSweep,
-square by square, against the public residuals, the F4 sigma step and
+"""The sigma-square kernel and the cached bilinear sides of the SquareSweep
+walk, square by square, against the public residuals, the F4 sigma step and
 oracles written out from the relations' definitions."""
 
 from fractions import Fraction
 
 import pytest
 
-from p6tau.backlund import (B_POLYS, DegenerateK, PointIndex, SquareSweep, bilinear_residual,
-                            iter_move_squares, sigma_backlund_residual, sigma_difference)
+from p6tau.backlund import (B_POLYS, DegenerateK, SquareSweep, bilinear_residual,
+                            sigma_backlund_residual, sigma_difference)
 from p6tau.exactalg import LaurentPoly
 from p6tau.f4 import sigma_step
 from p6tau.grassmann import FrameMatrix, TauTable
@@ -80,26 +80,26 @@ def _or_degenerate(fn, *args):
 @pytest.mark.parametrize("table", TABLES, indirect=True)
 def test_bilinear_sides_match_the_residual_square_by_square(table):
     _, table = table
-    sweep = SquareSweep(PointIndex(table))
     squares = 0
-    for m, keys in iter_move_squares(sweep.index):
-        taus = tuple(sweep.index.taus[k] for k in keys)
-        lhs, rhs = sweep.bilinear_sides(m, taus)
-        for eps in (1, -1):
-            expected = _bilinear_oracle(taus, m, eps)
-            assert lhs - eps * rhs == bilinear_residual(*taus, m, eps) == expected
-        squares += 1
+    for m, move_squares in SquareSweep(table).moves(sigmas=False):
+        for square in move_squares:
+            lhs, rhs = square.sides
+            for eps in (1, -1):
+                expected = _bilinear_oracle(square.taus, m, eps)
+                assert lhs - eps * rhs == bilinear_residual(*square.taus, m, eps) == expected
+            squares += 1
     assert squares == 3840
 
 
 @pytest.mark.parametrize("table", TABLES, indirect=True)
 def test_sigma_kernel_is_the_residual_and_minus_the_f4_step_residual(table):
     name, table = table
-    sweep = SquareSweep(PointIndex(table))
     steps, degenerate, nonzero = [], 0, 0
-    for m, _, s in sweep.sigma_squares():
-        s_a, s_ik, s_ij, s_jk = s
-        R = _or_degenerate(sweep.sigma_residual, m, s)
+    squares = [(m, square) for m, move_squares in SquareSweep(table).moves(sides=False)
+               for square in move_squares if square.sigmas is not None]
+    for m, square in squares:
+        s_a, s_ik, s_ij, s_jk = s = square.sigmas
+        R = square.residual
         public = _or_degenerate(sigma_backlund_residual, *s, m)
         stepped = _or_degenerate(sigma_step, s_a, s_ik, s_ij, m)
         oracle = _sigma_oracle(s, m)
