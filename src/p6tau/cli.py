@@ -20,9 +20,9 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
 
-from .backlund import ZeroTau, calibrate_eps, sigma_of, v_of_point, via_params
+from .backlund import (NoConsistentSign, ZeroTau, calibrate_eps, sigma_of, v_of_point,
+                       via_params)
 from .f4 import a5_to_f4, short_sets, simple_roots_check, toda_gamma_table
 from .grassmann import (FrameMatrix, GaugeDependence, HomogeneityViolation, MissingTau,
                         SingularFrame, TauTable)
@@ -34,38 +34,6 @@ DEFAULT_RADIUS_LIMIT = 4
 
 class UnknownPoint(KeyError):
     """The requested lattice point is not present in the table."""
-
-
-@dataclass
-class RunConfig:
-    """Everything a run needs: frame source, ball radius, suites, output."""
-
-    preset: str | None = None
-    frame_path: str | None = None
-    radius: int = 1
-    radius_limit: int = DEFAULT_RADIUS_LIMIT
-    suites: list = field(default_factory=lambda: sorted(SUITES))
-    output: str | None = None
-    fmt: str = "json"
-    configurations: bool = False  # verify: list every configuration in the report
-
-    def load_frame(self) -> FrameMatrix:
-        if self.frame_path:
-            with open(self.frame_path) as fh:
-                try:
-                    return FrameMatrix.from_json(json.load(fh))
-                except ValueError as exc:
-                    raise ValueError(f"{self.frame_path}: {exc}") from exc
-        if self.preset in (None, "vandermonde"):
-            return FrameMatrix.vandermonde()
-        raise ValueError(f"unknown preset {self.preset!r}")
-
-    def check_radius(self):
-        if not 0 <= self.radius <= self.radius_limit:
-            raise ValueError(
-                f"radius {self.radius} outside 0..{self.radius_limit}"
-                " (raise --radius-limit explicitly for bigger runs)"
-            )
 
 
 def _table_payload(table: TauTable) -> dict:
@@ -128,24 +96,38 @@ def _parse_point(text: str) -> LatticePoint:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_gen(config: RunConfig) -> int:
-    config.check_radius()
-    frame = config.load_frame()
-    table = TauTable.build(frame, config.radius)
-    if config.fmt == "csv":
-        _dump_csv(table, config.output)
+def cmd_gen(args: argparse.Namespace) -> int:
+    if not 0 <= args.radius <= args.radius_limit:
+        raise ValueError(
+            f"radius {args.radius} outside 0..{args.radius_limit}"
+            " (raise --radius-limit explicitly for bigger runs)"
+        )
+    if args.frame:
+        with open(args.frame) as fh:
+            try:
+                frame = FrameMatrix.from_json(json.load(fh))
+            except ValueError as exc:
+                raise ValueError(f"{args.frame}: {exc}") from exc
+    elif args.preset == "vandermonde":
+        frame = FrameMatrix.vandermonde()
     else:
-        _dump_json(_table_payload(table), config.output)
+        raise ValueError(f"unknown preset {args.preset!r}")
+    table = TauTable.build(frame, args.radius)
+    if args.format == "csv":
+        _dump_csv(table, args.out)
+    else:
+        _dump_json(_table_payload(table), args.out)
     return 0
 
 
-def cmd_verify(config: RunConfig, table_path: str) -> int:
-    table = load_table(table_path)
-    if not config.suites:
+def cmd_verify(args: argparse.Namespace) -> int:
+    table = load_table(args.table)
+    suites = [s for s in args.suites.split(",") if s]
+    if not suites:
         print("warning: empty suite list, nothing checked")
-        _dump_json({"suites": [], "passed": True}, config.output)
+        _dump_json({"suites": [], "passed": True}, args.out)
         return 0
-    reports = run_suites(table, config.suites, config.configurations)
+    reports = run_suites(table, suites, args.configurations)
     payload = {"suites": [r.to_json() for r in reports],
                "passed": all(r.passed for r in reports)}
     for r in reports:
@@ -156,7 +138,7 @@ def cmd_verify(config: RunConfig, table_path: str) -> int:
             line += f", {len(r.failures)} failures, first: {first}"
         line += ")"
         print(line)
-    _dump_json(payload, config.output)
+    _dump_json(payload, args.out)
     return 0 if payload["passed"] else 1
 
 
@@ -197,8 +179,14 @@ def cmd_map_f4(point: LatticePoint, full_report: bool, output: str | None) -> in
 
 
 def cmd_calibrate_eps(table_path: str, output: str | None) -> int:
+    """The calibrated sign table; a table no sign fits fails like an identity
+    (exit 1), and one too small to calibrate is an input error (exit 2)."""
     table = load_table(table_path)
-    eps = calibrate_eps(table)
+    try:
+        eps = calibrate_eps(table)
+    except NoConsistentSign as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     _dump_json(eps.to_json(), output)
     return 0
 
@@ -256,15 +244,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "gen":
-            config = RunConfig(preset=args.preset, frame_path=args.frame,
-                               radius=args.radius, radius_limit=args.radius_limit,
-                               output=args.out, fmt=args.format)
-            return cmd_gen(config)
+            return cmd_gen(args)
         if args.command == "verify":
-            suites = [s for s in args.suites.split(",") if s]
-            config = RunConfig(suites=suites, output=args.out,
-                               configurations=args.configurations)
-            return cmd_verify(config, args.table)
+            return cmd_verify(args)
         if args.command == "sigma":
             return cmd_sigma(_parse_point(args.point), args.table, args.out)
         if args.command == "map-f4":

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .backlund import SigmaFn, VQuad, sigma_edge, sigma_square, toda_product
-from .grassmann import TauT, TauTable, specialize_to_t, tau_in_x
+from .exactalg import LaurentPoly
+from .grassmann import TauT, TauTable, tau_det
 from .lattice import LatticePoint, MoveIJK, big_GH, move_vector, r_weight
 
 
@@ -228,6 +229,9 @@ def d4_action(v: VQuad, perm: tuple[int, int, int, int], signs: tuple[int, int, 
     return VQuad(*new)
 
 
+# The Moebius map named for each relabeling sends t' back to t, where
+# 1/t' = (x3 - x1)/(x2 - x1) at x[perm[a]] = (0, 1, 1/t)[a] (component_permute);
+# for the two 3-cycles it is the inverse of t -> t'.
 PERMUTATION_T_MAPS = {
     (0, 1, 2): "t",
     (1, 0, 2): "t/(t-1)",
@@ -247,43 +251,60 @@ def permute_point(p: LatticePoint, perm: tuple[int, int, int]) -> LatticePoint:
     )
 
 
-def table_families(table: TauTable) -> dict:
-    """``tau_in_x`` on the table's frame for every mu of the table."""
-    return {mu: tau_in_x(mu, table.frame) for mu in {p.mu for p in table.points()}}
+def _lift(tau: TauT, x) -> LaurentPoly | None:
+    """P(x) = sum_n c_-n (x2 - x1)^(R-n) (x3 - x1)^n for tau.T = sum_n c_n t^n of
+    weight R: the homogeneous, translation-invariant polynomial of degree R
+    whose value at (0, 1, 1/t) is tau.T, at Laurent polynomials x.  None when
+    tau.T has a power of t outside -R..0, which no such polynomial gives."""
+    T, weight = tau.T, tau.weight
+    if T.is_zero():
+        return T
+    if T.min_degree < -weight or T.degree > 0:
+        return None
+    d2, d3 = x[1] - x[0], x[2] - x[0]
+    p2, p3 = [LaurentPoly.constant(1)], [LaurentPoly.constant(1)]
+    for _ in range(weight):
+        p2.append(p2[-1] * d2)
+        p3.append(p3[-1] * d3)
+    total = LaurentPoly.zero()
+    for i, c in enumerate(T.coeffs):
+        n = -(T.min_degree + i)
+        if c:
+            total += p2[weight - n] * p3[n] * c
+    return total * Fraction(1, T.den)
 
 
-def component_permute(perm: tuple[int, int, int], table: TauTable, families: dict):
+def component_permute(perm: tuple[int, int, int], table: TauTable):
     """Tau table for the relabeled frame, with the per-point comparison signs.
 
-    The frame rows and columns are relabeled together by perm, every lattice
-    point has charge and mu parts permuted, and the tau polynomials in the
-    relabeled times satisfy tau'(x o perm) = +- tau(x); the t-level relation
-    follows through the induced Moebius map of t, which is also reported.
-    ``families`` is ``table_families(table)``, which the caller expands
-    once for all six permutations.
+    The frame rows and columns are relabeled together by perm, and every
+    lattice point p has its charge and mu parts permuted to q.  The tau
+    polynomials satisfy P'_q(y) = +-P_p(x) with x[perm[a]] = y[a], so at
+    y = (0, 1, 1/t) the relabeled tau T'_q(t), from tau_det on the relabeled
+    frame, is +-(x2 - x1)^R T_p(t') with 1/t' = (x3 - x1)/(x2 - x1): the
+    stored T_p lifted to x (_lift), a Laurent polynomial in t.  The sign of p
+    is 1 or -1 when T'_q is +- the lift, 0 for a mismatch, and None when both
+    are zero.  The named Moebius map of PERMUTATION_T_MAPS sends t' to t.
     """
     if table.frame is None:
         raise ValueError("table carries no frame")
     new_frame = table.frame.permuted(perm)
     new_table = TauTable(new_frame, radius=table.radius)
+    y = (LaurentPoly.zero(), LaurentPoly.constant(1), LaurentPoly.monomial(1, -1))
+    x = [y[perm.index(b)] for b in range(3)]
     signs: dict[LatticePoint, int | None] = {}
-    inverse = tuple(perm.index(a) for a in range(3))
-    moved = {p: permute_point(p, perm) for p in table.points()}
-    new_families = {mu: tau_in_x(mu, new_frame) for mu in {q.mu for q in moved.values()}}
-    for p, q in moved.items():
-        sector = new_families[q.mu].get(q.charge, {})
-        new_table.entries[q] = specialize_to_t(q, sector)
-        # compare at the level of the three first times: the new table's
-        # variable a is the old variable perm[a]
-        old = families[p.mu].get(p.charge, {})
-        new = {(k[inverse[0]], k[inverse[1]], k[inverse[2]]): v for k, v in sector.items()}
-        if not old:
-            signs[p] = 0 if new else None
-        elif new == old:
+    for p in table.points():
+        q = permute_point(p, perm)
+        new = new_table.entries[q] = tau_det(q, new_frame)
+        old = _lift(table.get(p), x)
+        if old is None:
+            signs[p] = 0
+        elif old.is_zero():
+            signs[p] = None if new.is_zero() else 0
+        elif new.T == old:
             signs[p] = 1
-        elif new == {k: -v for k, v in old.items()}:
+        elif new.T == -old:
             signs[p] = -1
         else:
             signs[p] = 0
-    t_map = PERMUTATION_T_MAPS[tuple(perm)]
-    return new_table, signs, t_map
+    return new_table, signs, PERMUTATION_T_MAPS[tuple(perm)]

@@ -12,8 +12,8 @@ homogeneous of degree R, and the matrix must satisfy D N = N T for
 D = d1 + d2 + d3 and a nilpotent T, so P is translation invariant and the
 substitution x1 = u, x2 = u + h, x3 = u + h/t leaves h^R T(t) with no u.
 
-The wedge path computes the same P term by term and serves the x-level
-checks (relabelings, charge selection, homogeneity) and the test oracle:
+The wedge path computes the same P term by term and is the test oracle
+for ``tau_det``; nothing outside its own section of this module calls it:
 the head is expanded multilinearly into basis slots, every surviving term
 is sorted into canonical order, and its occupied degrees per component are
 decoded (Maya correspondence) into a charge triple plus three partitions.

@@ -36,11 +36,10 @@ from .f4 import (
     d4_action,
     short_sets,
     simple_roots_check,
-    table_families,
     toda_step_f4,
 )
-from .grassmann import TauT, TauTable, expand_wedge, tau_in_x, translation_gradient
-from .lattice import LatticePoint, all_moves, ball, e0_translate, r_weight
+from .grassmann import TauT, TauTable
+from .lattice import LatticePoint, all_moves, ball, e0_translate
 
 
 @dataclass
@@ -75,45 +74,6 @@ class SuiteReport:
 
 def _terms(poly) -> int:
     return sum(1 for c in poly.coeffs if c)
-
-
-# ---------------------------------------------------------------------------
-# construction-level suites
-# ---------------------------------------------------------------------------
-
-def suite_vacuum_charge(table: TauTable) -> SuiteReport:
-    """Vacuum normalization and the charge selection rule on every family."""
-    rep = SuiteReport("vacuum-charge")
-    origin = LatticePoint((0, 0, 0, 0, 0, 0))
-    vac = table.tau(origin)
-    rep.record(vac.T == LaurentPoly.constant(1), _terms(vac.T - 1), check="vacuum")
-    for mu in sorted({p.mu for p in table.points()}):
-        terms = expand_wedge(mu, table.frame)
-        bad = [list(term.charges) for term in terms if sum(term.charges) + sum(mu) != 0]
-        rep.record(not bad, len(bad), check="charge-selection", mu=list(mu), charges=bad)
-        # a mismatched charge sector is identically zero
-        off = (1 - mu[0], -mu[1], -mu[2])
-        sector = tau_in_x(mu, table.frame, terms).get(off, {})
-        rep.record(not sector, len(sector), check="off-charge-zero", mu=list(mu))
-    return rep
-
-
-def suite_homogeneity(table: TauTable) -> SuiteReport:
-    """Euler identity and translation invariance of every charge sector."""
-    rep = SuiteReport("homogeneity")
-    families = table_families(table)
-    for p in table.points():
-        sector = families[p.mu].get(p.charge)
-        if sector is None:
-            continue
-        # Euler: sum_a x_a dP/dx_a = wP holds exactly when every term has degree w
-        weight = r_weight(p)
-        off_degree = sum(1 for exps in sector if sum(exps) != weight)
-        rep.record(not off_degree, off_degree, check="euler", point=p.to_json())
-        gradient = translation_gradient(sector)
-        rep.record(not gradient, len(gradient), check="translation-invariance",
-                   point=p.to_json())
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -160,15 +120,6 @@ def suite_miwa(table: TauTable, configurations: bool = True) -> SuiteReport:
             labels = {"indices": list(stencil.indices)}
         rep.record(res.is_zero(), _terms(res), identity=stencil.identity, base=list(base),
                    **labels)
-    return rep
-
-
-def suite_translation(table: TauTable, radius: int = 1) -> SuiteReport:
-    rep = SuiteReport("translation")
-    for p in ball(radius):
-        q, sign = e0_translate(p)
-        residual = table.tau(p).T - sign * table.tau(q).T
-        rep.record(residual.is_zero(), _terms(residual), point=p.to_json())
     return rep
 
 
@@ -421,9 +372,8 @@ def suite_symmetry(table: TauTable, configurations: bool = True) -> SuiteReport:
     for q in ball(1):
         sub.entries[q] = table.tau(q)
     maps = {}
-    families = table_families(sub)
     for perm in itertools.permutations(range(3)):
-        _, signs, t_map = component_permute(perm, sub, families)
+        _, signs, t_map = component_permute(perm, sub)
         bad = [p.to_json() for p, s in signs.items() if s == 0]
         maps["".join(str(x + 1) for x in perm)] = t_map
         rep.record(not bad, len(bad), check="component-permute", perm=list(perm),

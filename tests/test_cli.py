@@ -222,6 +222,24 @@ def test_calibrate_eps_command(table_file, tmp_path):
     assert eps["1,2,3"] == 1 and eps["1,3,2"] == -1
 
 
+def test_calibrate_eps_without_a_consistent_sign_fails_like_an_identity(table_file, tmp_path,
+                                                                        capsys):
+    broken = perturb_table(cli.load_table(str(table_file)), LatticePoint((-1, 0, 0, 1, 0, 0)))
+    bad_file = tmp_path / "bad.json"
+    bad_file.write_text(json.dumps({"frame": broken.frame.to_json(), "radius": broken.radius,
+                                    "entries": broken.to_json()}))
+    out = tmp_path / "eps.json"
+    assert main(["calibrate-eps", "--table", str(bad_file), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: move MoveIJK(i=1, j=2, k=4) at (-1,-1,0,2,0,0):"
+                                       " no sign matches\n")
+    assert not out.exists()
+    # a table too small to calibrate stays an input error
+    small = tmp_path / "r1.json"
+    assert main(["gen", "--radius", "1", "--out", str(small)]) == 0
+    assert main(["calibrate-eps", "--table", str(small)]) == 2
+    assert capsys.readouterr().err.startswith("error: no informative configuration")
+
+
 def test_verify_missing_table_file(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert main(["verify", "--table", str(missing)]) == 2

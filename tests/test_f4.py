@@ -9,6 +9,7 @@ from p6tau.f4 import (
     F4Vector,
     MissingPreimage,
     OddSignCount,
+    PERMUTATION_T_MAPS,
     TODA_GAMMAS,
     a5_to_f4,
     component_permute,
@@ -16,7 +17,6 @@ from p6tau.f4 import (
     short_sets,
     sigma_step,
     simple_roots_check,
-    table_families,
     toda_gamma_table,
     toda_step_f4,
 )
@@ -202,15 +202,23 @@ def test_d4_action_examples():
 
 
 def test_component_permute_identity_and_signs(table1):
-    families = table_families(table1)
-    new_table, signs, t_map = component_permute((0, 1, 2), table1, families)
+    new_table, signs, t_map = component_permute((0, 1, 2), table1)
     assert t_map == "t"
     assert all(new_table.get(p) == table1.get(p) for p in table1.points())
     assert all(s in (1, None) for s in signs.values())
     for perm, expected in (((2, 1, 0), "1-t"), ((1, 0, 2), "t/(t-1)"), ((0, 2, 1), "1/t")):
-        _, signs, t_map = component_permute(perm, table1, families)
+        _, signs, t_map = component_permute(perm, table1)
         assert t_map == expected
         assert all(s != 0 for s in signs.values())
+
+
+@pytest.mark.parametrize("perm", sorted(PERMUTATION_T_MAPS))
+def test_each_named_t_map_sends_the_relabeled_t_back_to_t(perm):
+    for t in (Fraction(2), Fraction(1, 3), Fraction(-5, 7)):
+        y = (0, 1, 1 / t)
+        x = [y[perm.index(b)] for b in range(3)]
+        t_prime = (x[1] - x[0]) / (x[2] - x[0])
+        assert eval(PERMUTATION_T_MAPS[perm], {"t": t_prime}) == t
 
 
 def test_sigma_step_reverse_direction(table2):

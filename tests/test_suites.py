@@ -1,67 +1,20 @@
 import hashlib
+import itertools
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from p6tau import grassmann, suites
+from p6tau import suites
 from p6tau.backlund import (VQuad, bilinear_residual, calibrate_eps, iter_move_configurations,
                             jmo_residual_with_v, sigma_of, v_of_point)
 from p6tau.exactalg import LaurentPoly
-from p6tau.grassmann import FrameMatrix, TauTable
+from p6tau.grassmann import FrameMatrix, SingularFrame, TauTable
 from p6tau.f4 import d4_action
-from p6tau.lattice import LatticePoint, all_moves
-from p6tau.suites import (perturb_table, suite_bilinear, suite_f4, suite_homogeneity,
-                          suite_jmo, suite_miwa, suite_sigma_backlund, suite_vacuum_charge)
-
-
-def _inject(monkeypatch, bad_mu, charges):
-    """Make suites.expand_wedge append one term of the given charges for bad_mu."""
-    expand = suites.expand_wedge
-
-    def with_bad_term(mu, frame):
-        terms = expand(mu, frame)
-        if tuple(mu) == bad_mu:
-            terms = terms + [replace(terms[0], charges=charges)]
-        return terms
-
-    monkeypatch.setattr(suites, "expand_wedge", with_bad_term)
-
-
-def test_vacuum_charge_records_one_check_per_mu(table1, monkeypatch):
-    bad_mu = (0, 0, 0)
-    _inject(monkeypatch, bad_mu, (5, 0, 0))
-    rep = suite_vacuum_charge(table1)
-    selection = [c for c in rep.configurations if c.get("check") == "charge-selection"]
-    mus = [tuple(c["mu"]) for c in selection]
-    assert len(mus) == len(set(mus)) == len({p.mu for p in table1.points()})
-    for entry in selection:
-        assert entry["ok"] == (tuple(entry["mu"]) != bad_mu)
-    assert [f["charges"] for f in rep.failures] == [[[5, 0, 0]]]
-
-
-def test_vacuum_charge_records_a_nonzero_off_charge_sector(frame, monkeypatch):
-    # (1, 0, 0) is exactly the off charge the suite looks up for mu = (0, 0, 0)
-    _inject(monkeypatch, (0, 0, 0), (1, 0, 0))
-    rep = suite_vacuum_charge(TauTable.build(frame, 0))
-    off = [c for c in rep.configurations
-           if c.get("check") == "off-charge-zero" and c["mu"] == [0, 0, 0]]
-    assert len(off) == 1 and off[0]["ok"] is False
-
-
-def test_homogeneity_records_euler_failures(table1, monkeypatch):
-    bosonize = grassmann.bosonize
-
-    def times_x1(term):
-        (d1, d2, d3), c = bosonize(term)
-        return (d1 + 1, d2, d3), c
-
-    monkeypatch.setattr(grassmann, "bosonize", times_x1)
-    rep = suite_homogeneity(table1)
-    euler = [c for c in rep.configurations if c.get("check") == "euler"]
-    assert euler and not any(c["ok"] for c in euler)
-    assert any(f.get("check") == "euler" for f in rep.failures)
+from p6tau.lattice import LatticePoint, all_moves, ball
+from p6tau.suites import (SUITES, perturb_table, run_suites, suite_bilinear, suite_f4, suite_jmo,
+                          suite_miwa, suite_sigma_backlund, suite_symmetry)
 
 
 def test_sigma_level_suites_record_failures_on_perturbed_tables(table2):
@@ -224,3 +177,43 @@ def test_suites_without_configurations_keep_only_failures(table2, name):
     assert full.failures and full.checks == short.checks == len(full.configurations)
     assert short.failures == full.failures and short.configurations == []
     assert short.to_json() == {k: v for k, v in full.to_json().items() if k != "configurations"}
+
+
+def _component_permute_failures(report):
+    return [f for f in report.failures if f["check"] == "component-permute"]
+
+
+def test_relabelings_are_checked_against_the_table(table2):
+    p = LatticePoint((0, 0, 0, 1, -1, 0))
+    assert not table2.get(p).is_zero()
+    failures = _component_permute_failures(suite_symmetry(perturb_table(table2, p)))
+    assert sorted(tuple(f["perm"]) for f in failures) == sorted(itertools.permutations(range(3)))
+    assert all(f["mismatches"] == [p.to_json()] for f in failures)
+
+
+# ---------------------------------------------------------------------------
+# every suite on generic frames
+# ---------------------------------------------------------------------------
+
+NONZERO_ENTRIES = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
+
+
+@settings(deadline=None, max_examples=6)
+@given(st.lists(st.lists(NONZERO_ENTRIES, min_size=3, max_size=3), min_size=3, max_size=3))
+@example([[1, 0, 0], [2, 3, 0], [4, 5, 6]])  # triangular
+@example([[0, 1, 2], [3, 0, 5], [7, 11, 0]])  # a zero entry in every row
+def test_every_suite_holds_on_a_frame_and_catches_perturbations(rows):
+    try:
+        frame = FrameMatrix(rows)
+    except SingularFrame:
+        assume(False)
+    table = TauTable.build(frame, 2)
+    assert [r.name for r in run_suites(table, sorted(SUITES), False) if not r.passed] == []
+    # the benchmark's negative control: the first tau of three or more terms
+    point = next(p for p in table.points() if sum(1 for c in table.get(p).T.coeffs if c) >= 3)
+    broken = perturb_table(table, point)
+    assert not suite_bilinear(broken, False).passed and not suite_jmo(broken, False).passed
+    inner = next(p for p in sorted(ball(1), key=lambda q: q.alpha)
+                 if p.alpha != (0,) * 6 and not table.get(p).is_zero())
+    failures = _component_permute_failures(suite_symmetry(perturb_table(table, inner), False))
+    assert len(failures) == 6 and all(f["mismatches"] == [inner.to_json()] for f in failures)
