@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactalg import LaurentPoly, as_scalar, poly_gcd
+from .exactalg import LaurentPoly, poly_gcd
 from .grassmann import TauT, TauTable
 from .lattice import (
     LatticePoint,
@@ -36,6 +36,7 @@ from .lattice import (
     move_vector,
     n_coeff,
     r_weight,
+    twice_v,
 )
 
 
@@ -59,16 +60,16 @@ class InsufficientData(ValueError):
     """The table held no informative configuration for a move."""
 
 
+T_POLY = LaurentPoly(1, (1,))           # t
+T_SQUARED = LaurentPoly(2, (1,))
+T_MINUS_1 = LaurentPoly(0, (-1, 1))
 TT1 = LaurentPoly(1, (-1, 1))          # t(t-1)
 TWO_T_MINUS_1 = LaurentPoly(0, (-1, 2))
+ONE_MINUS_2T = -TWO_T_MINUS_1
 TT1_SQUARED = TT1 * TT1
 
 # directional derivatives d_j = b_j(t) d/dt: b1 = t(t-1), b2 = t, b3 = -t^2
-B_POLYS = {
-    1: TT1,
-    2: LaurentPoly(1, (1,)),      # t
-    3: LaurentPoly(2, (-1,)),     # -t^2
-}
+B_POLYS = {1: TT1, 2: T_POLY, 3: -T_SQUARED}
 
 
 @dataclass(frozen=True)
@@ -96,22 +97,6 @@ class SigmaFn:
 def sigma_difference(a: SigmaFn, b: SigmaFn) -> LaurentPoly:
     """a.num b.den - b.num a.den: zero iff the two sigmas are equal."""
     return a.num * b.den - b.num * a.den
-
-
-@dataclass(frozen=True)
-class VQuad:
-    """The four parameters (v1..v4) attached to a lattice point."""
-
-    v1: Fraction
-    v2: Fraction
-    v3: Fraction
-    v4: Fraction
-
-    def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.v1, self.v2, self.v3, self.v4)
-
-    def product(self) -> Fraction:
-        return self.v1 * self.v2 * self.v3 * self.v4
 
 
 @dataclass(frozen=True)
@@ -203,19 +188,15 @@ def toda_product(tau: TauT, pair: tuple[int, int]) -> LaurentPoly:
     (t * -t^2), not +t^3.
     """
     T = tau.T
-    R = as_scalar(tau.weight)
     dT = T.derivative()
     ddT = dT.derivative()
-    t = LaurentPoly(1, (1,))
-    t2 = LaurentPoly(2, (1,))
-    tm1 = LaurentPoly(0, (-1, 1))
     if pair == (1, 2):
-        return R * T * T - tm1 * t2 * dT * dT + t2 * T * (dT + tm1 * ddT)
+        return (tau.weight * T * T - T_MINUS_1 * T_SQUARED * dT * dT
+                + T_SQUARED * T * (dT + T_MINUS_1 * ddT))
     if pair == (1, 3):
-        one_minus_2t = LaurentPoly(0, (1, -2))
-        return t2 * (t * tm1 * dT * dT + T * (one_minus_2t * dT - t * tm1 * ddT))
+        return T_SQUARED * (TT1 * dT * dT + T * (ONE_MINUS_2T * dT - TT1 * ddT))
     if pair == (2, 3):
-        return t2 * (t * dT * dT - T * (dT + t * ddT))
+        return T_SQUARED * (T_POLY * dT * dT - T * (dT + T_POLY * ddT))
     raise ValueError(f"pair must be one of {TODA_PAIRS}, got {pair}")
 
 
@@ -402,56 +383,43 @@ def sigma_of(tau: TauT) -> SigmaFn:
     if tau.T.is_zero():
         raise ZeroTau(f"no sigma at {tau.point}: tau is zero")
     m, P = tau.T.split()
-    c5, c6 = c5_c6(tau.point)
-    t = LaurentPoly.t()
-    linear = (t - 1) * (as_scalar(m) + c5) - LaurentPoly.constant(c6 / 2)
-    num = t * (t - 1) * P.derivative() + linear * P
-    return SigmaFn(tau.point, num, P)
+    c5, c6 = c5_c6(tau.point.alpha)                       # 4 c5, 4 c6
+    linear = LaurentPoly(0, (-8 * m - 2 * c5 - c6, 8 * m + 2 * c5), 8)
+    return SigmaFn(tau.point, TT1 * P.derivative() + linear * P, P)
 
 
-def v_of_point(p: LatticePoint) -> VQuad:
-    a = p.alpha
-    half_sum = Fraction(a[0] + a[2], 2)
-    return VQuad(
-        half_sum + a[3],
-        half_sum + a[4],
-        half_sum + a[5],
-        Fraction(a[0] - a[2], 2),
-    )
+def via_params(w) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """Painleve VI coefficients (alpha, beta, gamma, delta) from the doubled
+    parameters w = (2 v1, .., 2 v4): alpha = (v3 - v4)^2/2, beta =
+    -(v1 + v2)^2/2, gamma = (v1 - v2)^2/2, delta = (1 - (v3 + v4 + 1)^2)/2."""
+    w1, w2, w3, w4 = w
+    return (Fraction((w3 - w4) ** 2, 8), Fraction(-(w1 + w2) ** 2, 8),
+            Fraction((w1 - w2) ** 2, 8), Fraction(4 - (w3 + w4 + 2) ** 2, 8))
 
 
-def via_params(v: VQuad) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Painleve VI coefficients (alpha, beta, gamma, delta) from the v quadruple."""
-    alpha = Fraction((v.v3 - v.v4) ** 2, 2)
-    beta = -Fraction((v.v1 + v.v2) ** 2, 2)
-    gamma = Fraction((v.v1 - v.v2) ** 2, 2)
-    delta = Fraction(1 - (v.v3 + v.v4 + 1) ** 2, 2)
-    return alpha, beta, gamma, delta
-
-
-def jmo_residual_with_v(N: LaurentPoly, D: LaurentPoly, v: VQuad) -> LaurentPoly:
-    """Residual of the second-order quadratic sigma equation for sigma = N/D, given v.
+def jmo_residual_with_v(N: LaurentPoly, D: LaurentPoly, w) -> LaurentPoly:
+    """Residual of the second-order quadratic sigma equation for sigma = N/D,
+    given the doubled parameters w = (2 v1, .., 2 v4) (lattice.twice_v):
 
     sigma'(t(t-1) sigma'')^2 + (sigma'[2 sigma - (2t-1) sigma'] + v1v2v3v4)^2
-    - prod_k (sigma' + v_k^2), times D^8.
+    - prod_k (sigma' + v_k^2), times 256 D^8, which clears the halves of v.
     """
     dD = D.derivative()
     A = N.derivative() * D - N * dD                      # sigma' = A / D^2
     B = A.derivative() * D - 2 * A * dD                  # sigma'' = B / D^3
-    c = v.product()
     D2 = D * D
     D4 = D2 * D2
-    middle = 2 * A * N * D - TWO_T_MINUS_1 * (A * A) + c * D4
-    lhs = TT1_SQUARED * A * (B * B) + middle * middle
-    rhs = LaurentPoly.constant(1)
-    for vk in v.as_tuple():
-        rhs = rhs * (A + (vk * vk) * D2)
-    return lhs - rhs
+    middle = 32 * A * N * D - 16 * TWO_T_MINUS_1 * (A * A) + (w[0] * w[1] * w[2] * w[3]) * D4
+    lhs = 256 * TT1_SQUARED * A * (B * B) + middle * middle
+    A4 = 4 * A
+    f1, f2, f3, f4 = (A4 + (x * x) * D2 for x in w)
+    return lhs - f1 * f2 * f3 * f4
 
 
 def jmo_residual(s: SigmaFn) -> LaurentPoly:
-    """Residual of the sigma equation at s.point's own v quadruple, times s.den^8."""
-    return jmo_residual_with_v(s.num, s.den, v_of_point(s.point))
+    """Residual of the sigma equation at s.point's own parameters, times
+    256 s.den^8."""
+    return jmo_residual_with_v(s.num, s.den, twice_v(s.point.alpha))
 
 
 # ---------------------------------------------------------------------------

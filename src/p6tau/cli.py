@@ -21,8 +21,7 @@ import io
 import json
 import sys
 
-from .backlund import (NoConsistentSign, ZeroTau, calibrate_eps, sigma_of, v_of_point,
-                       via_params)
+from .backlund import NoConsistentSign, ZeroTau, calibrate_eps, sigma_of, via_params
 from .f4 import a5_to_f4, short_sets, simple_roots_check, toda_gamma_table
 from .grassmann import (FrameMatrix, GaugeDependence, HomogeneityViolation, MissingTau,
                         SingularFrame, TauTable)
@@ -148,12 +147,12 @@ def cmd_sigma(point: LatticePoint, table_path: str, output: str | None) -> int:
         raise UnknownPoint(str(point))
     tau = table.get(point)
     s = sigma_of(tau)  # raises ZeroTau for the zero tau
-    v = v_of_point(point)
-    alpha, beta, gamma, delta = via_params(v)
+    image = a5_to_f4(point)  # its finite part is v, held doubled
+    alpha, beta, gamma, delta = via_params(image.twice)
     payload = {
         "point": point.to_json(),
         "sigma": s.to_json(),
-        "v": [str(x) for x in v.as_tuple()],
+        "v": image.to_json()[1:],
         "pvi_coefficients": {
             "alpha": str(alpha), "beta": str(beta),
             "gamma": str(gamma), "delta": str(delta),

@@ -16,10 +16,10 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .backlund import SigmaFn, VQuad, sigma_edge, sigma_square, toda_product
+from .backlund import SigmaFn, sigma_edge, sigma_square, toda_product
 from .exactalg import LaurentPoly
 from .grassmann import TauT, TauTable, tau_det
-from .lattice import LatticePoint, MoveIJK, big_GH, move_vector, r_weight
+from .lattice import LatticePoint, MoveIJK, big_GH, move_vector, r_weight, twice_v
 
 
 class OddSignCount(ValueError):
@@ -73,10 +73,9 @@ class F4Vector:
 
 
 def a5_to_f4(p: LatticePoint) -> F4Vector:
-    """v0 = a1, v_i = (a1+a3)/2 + a_{3+i}, v4 = (a1-a3)/2."""
-    a = p.alpha
-    s = a[0] + a[2]
-    return F4Vector(a[0], (s + 2 * a[3], s + 2 * a[4], s + 2 * a[5], a[0] - a[2]))
+    """v0 = a1 and (v1..v4) the point's Painleve VI parameters, v_i =
+    (a1+a3)/2 + a_{3+i}, v4 = (a1-a3)/2 (lattice.twice_v)."""
+    return F4Vector(p.alpha[0], twice_v(p.alpha))
 
 
 E0_F4 = F4Vector(1, (0, 0, 0, 0))
@@ -216,17 +215,17 @@ def toda_step_f4(t_beta: TauT, t_known: TauT, gamma: F4Vector) -> TauT:
 # symmetry actions
 # ---------------------------------------------------------------------------
 
-def d4_action(v: VQuad, perm: tuple[int, int, int, int], signs: tuple[int, int, int, int]) -> VQuad:
-    """Permute the four parameters and flip an even number of signs."""
+def d4_action(w: tuple[int, int, int, int], perm: tuple[int, int, int, int],
+              signs: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """Permute the four parameters and flip an even number of signs; the
+    parameters may be held doubled, as w = (2 v1, .., 2 v4)."""
     if sorted(perm) != [0, 1, 2, 3]:
         raise ValueError(f"{perm} is not a permutation of 0..3")
     if any(s not in (1, -1) for s in signs):
         raise ValueError("signs must be +-1")
     if signs.count(-1) % 2:
         raise OddSignCount(f"odd number of sign flips in {signs}")
-    vs = v.as_tuple()
-    new = tuple(signs[i] * vs[perm[i]] for i in range(4))
-    return VQuad(*new)
+    return tuple(signs[i] * w[perm[i]] for i in range(4))
 
 
 # The Moebius map named for each relabeling sends t' back to t, where

@@ -85,7 +85,7 @@ class FrameMatrix:
     by the determinant of the input; every stored row is in this gauge.
     """
 
-    __slots__ = ("rows", "dual", "integer_rows")
+    __slots__ = ("rows", "integer_rows")
 
     def __init__(self, rows):
         rs = tuple(tuple(as_scalar(x) for x in row) for row in rows)
@@ -97,7 +97,6 @@ class FrameMatrix:
             raise SingularFrame(f"frame rows are dependent: {rs}")
         if d != 1:
             self.rows = (tuple(x / d for x in rs[0]),) + rs[1:]
-        self.dual = self._invert_transpose()
         # (d, n): d[j] is the common denominator of row j, n[j] = d[j] * row j
         dens = tuple(math.lcm(*(f.denominator for f in row)) for row in self.rows)
         self.integer_rows = (dens, tuple(tuple(int(d * f) for f in row)
@@ -115,21 +114,6 @@ class FrameMatrix:
             - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
             + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
         )
-
-    def _invert_transpose(self):
-        d = self.det()
-        r = self.rows
-        cof = [
-            [
-                (r[(i + 1) % 3][(j + 1) % 3] * r[(i + 2) % 3][(j + 2) % 3]
-                 - r[(i + 1) % 3][(j + 2) % 3] * r[(i + 2) % 3][(j + 1) % 3])
-                for j in range(3)
-            ]
-            for i in range(3)
-        ]
-        # inverse = adjugate/det = transpose(cof)/det; dual rows are the
-        # columns of the inverse, i.e. the cofactor rows over det.
-        return tuple(tuple(cof[i][j] / d for j in range(3)) for i in range(3))
 
     def permuted(self, perm) -> "FrameMatrix":
         """Frame with rows and columns simultaneously relabeled by perm."""

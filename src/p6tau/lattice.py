@@ -2,10 +2,11 @@
 
 A lattice point is an integer 6-vector (a1,...,a6) with zero sum.  The first
 three entries form the charge part, the last three the mu part; both views of
-one object.  This module owns the weight R, the constants c5/c6 and n entering
-the bilinear relations, the first-order correction polynomials g_j/h_j and
-G/H, the charge-ordering sign, and the distinguished translation by
-(1,1,1,-1,-1,-1).
+one object.  This module owns the scalars attached to a point, all in
+integers: the weight R, the constants c5/c6 (held as 4 c5, 4 c6) and n
+entering the bilinear relations, and the Painleve VI parameters v1..v4 (held
+doubled); and the first-order correction polynomials g_j/h_j and G/H, the
+charge-ordering sign, and the distinguished translation by (1,1,1,-1,-1,-1).
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exactalg import LaurentPoly, as_scalar
+from .exactalg import LaurentPoly
 
 
 @dataclass(frozen=True)
@@ -132,9 +132,19 @@ def _twice_r(a) -> int:
     return a[3] ** 2 + a[4] ** 2 + a[5] ** 2 - a[0] ** 2 - a[1] ** 2 - a[2] ** 2
 
 
-def _c5_c6_times_4(a) -> tuple[int, int]:
-    """(4 c5, 4 c6) at any integer 6-vector a: two quadratic forms in a."""
+def c5_c6(a) -> tuple[int, int]:
+    """(4 c5, 4 c6), c5 and c6 being the constants that shift the
+    log-derivative into the sigma function: two quadratic forms in a point or
+    in any integer 6-vector a."""
     return -(a[0] - a[2]) ** 2, 2 * _twice_r(a) + 2 * (a[0] - a[1]) * (a[0] - a[2])
+
+
+def twice_v(a) -> tuple[int, int, int, int]:
+    """(2 v1, .., 2 v4), the Painleve VI parameters of a point doubled, with
+    v_i = (a1+a3)/2 + a_{3+i} and v4 = (a1-a3)/2: the finite part of the
+    point's F4 image.  The four share their parity."""
+    s = a[0] + a[2]
+    return s + 2 * a[3], s + 2 * a[4], s + 2 * a[5], a[0] - a[2]
 
 
 def r_weight(p: LatticePoint) -> int:
@@ -143,12 +153,6 @@ def r_weight(p: LatticePoint) -> int:
     if twice % 2:
         raise ArithmeticError(f"weight of {p} is not an integer")
     return twice // 2
-
-
-def c5_c6(p: LatticePoint) -> tuple[Fraction, Fraction]:
-    """The two constants shifting the log-derivative into the sigma function."""
-    c5, c6 = _c5_c6_times_4(p.alpha)
-    return Fraction(c5, 4), Fraction(c6, 4)
 
 
 def n_coeff(p: LatticePoint, m: MoveIJK) -> int:
@@ -166,14 +170,12 @@ def gh_polys(j: int, n) -> tuple[LaurentPoly, LaurentPoly]:
     b1 = t(t-1), b2 = t, b3 = -t^2.  Note g3 = -1: the quotient for j=3 is
     -t/(t-1), whose scaled log-derivative is -1.
     """
-    n = as_scalar(n)
-    t = LaurentPoly.t()
     if j == 1:
-        return LaurentPoly.zero(), LaurentPoly.constant(n)
+        return LaurentPoly.zero(), LaurentPoly(0, (n,))
     if j == 2:
-        return -t, (t - 1) * n
+        return LaurentPoly(1, (-1,)), LaurentPoly(0, (-n, n))
     if j == 3:
-        return LaurentPoly.constant(-1), LaurentPoly.zero()
+        return LaurentPoly(0, (-1,)), LaurentPoly.zero()
     raise ValueError(f"j must lie in 1..3, got {j}")
 
 
@@ -187,7 +189,7 @@ def _h_times_8(a, m: MoveIJK) -> tuple[int, int]:
     """Constant and t coefficient of 8 H = 8 h_j + 2 d[4 c5] (1-t) + d[4 c6]
     for move m at the integer 6-vector a."""
     ik = tuple(map(operator.add, a, move_vector(m.i, m.k).alpha))
-    (c5a, c6a), (c5ik, c6ik) = _c5_c6_times_4(a), _c5_c6_times_4(ik)
+    (c5a, c6a), (c5ik, c6ik) = c5_c6(a), c5_c6(ik)
     n8 = 4 * (_twice_r(ik) - _twice_r(a))                       # 8 n1
     h0, h1 = {1: (n8, 0), 2: (n8, -n8), 3: (0, 0)}[m.j]         # 8 h_j
     return h0 + 2 * (c5a - c5ik) + c6a - c6ik, h1 - 2 * (c5a - c5ik)
@@ -198,9 +200,8 @@ def _move_G(m: MoveIJK) -> LaurentPoly:
     """G of move m.  c5 and c6 are quadratic in the point and the move's
     square closes (di-dj + dj-dk = di-dk), so their second difference D over
     the square is a constant of the move, read off at the zero vector."""
-    c = [_c5_c6_times_4(v) for v in ((0,) * 6, move_vector(m.i, m.j).alpha,
-                                      move_vector(m.j, m.k).alpha,
-                                      move_vector(m.i, m.k).alpha)]
+    c = [c5_c6(v) for v in ((0,) * 6, move_vector(m.i, m.j).alpha,
+                            move_vector(m.j, m.k).alpha, move_vector(m.i, m.k).alpha)]
     d5 = c[1][0] + c[2][0] - c[3][0] - c[0][0]                  # 4 D[c5]
     d6 = c[1][1] + c[2][1] - c[3][1] - c[0][1]                  # 4 D[c6]
     g, _ = gh_polys(m.j, 0)

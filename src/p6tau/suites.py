@@ -9,6 +9,7 @@ empty; nothing is tolerance-based.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .backlund import (
@@ -26,7 +27,6 @@ from .backlund import (
     sigma_of,
     stencil_residual,
     toda_product,
-    v_of_point,
 )
 from .exactalg import LaurentPoly
 from .f4 import (
@@ -39,7 +39,7 @@ from .f4 import (
     toda_step_f4,
 )
 from .grassmann import TauT, TauTable
-from .lattice import LatticePoint, all_moves, ball, e0_translate
+from .lattice import LatticePoint, ball, e0_translate, twice_v
 
 
 @dataclass
@@ -138,21 +138,28 @@ def suite_jmo(table: TauTable, configurations: bool = True) -> SuiteReport:
 class _Bilinear:
     """Per move, the sign is calibrated from the squares' (L, P) pairs, then
     each square checks L - eps P and the solve-fourth division L / (eps Tij)
-    against Tjk.  A calibration failure replaces the whole report, with
-    calibrate_eps's error."""
+    against Tjk.  A move whose squares all have P = 0 cannot be calibrated;
+    move_sign raises NoConsistentSign for a nonzero L first, so each such
+    square has L = 0 too and the relation holds with either sign: the move
+    is listed in the notes' uncalibrated_moves and checked with the closed-
+    form sign.  Any other calibration failure replaces the whole report,
+    with calibrate_eps's error."""
 
     sides, sigmas = True, False
 
     def __init__(self, sweep: SquareSweep, configurations: bool):
         self.rep = SuiteReport("bilinear", keep=configurations)
-        self.signs, self.error = {}, None
+        self.signs, self.uncalibrated, self.error = {}, [], None
 
     def move(self, m, squares):
         if self.error is not None:
             return
         try:
             sign = self.signs[(m.i, m.j, m.k)] = move_sign(m, squares)
-        except (NoConsistentSign, InsufficientData) as exc:
+        except InsufficientData:
+            self.uncalibrated.append([m.i, m.j, m.k])
+            sign = eps_block_inversions(m.i, m.j, m.k)
+        except NoConsistentSign as exc:
             self.error = exc
             return
         labels = {"move": [m.i, m.j, m.k]}
@@ -173,10 +180,11 @@ class _Bilinear:
             rep = SuiteReport("bilinear", keep=rep.keep)
             rep.record(False, 1, check="calibration", error=str(self.error))
             return rep
-        eps = EpsTable(self.signs)
-        rep.notes["eps_table"] = eps.to_json()
+        rep.notes["eps_table"] = EpsTable(self.signs).to_json()
+        if self.uncalibrated:
+            rep.notes["uncalibrated_moves"] = self.uncalibrated
         formula_matches = all(
-            eps[(m.i, m.j, m.k)] == eps_block_inversions(m.i, m.j, m.k) for m in all_moves()
+            sign == eps_block_inversions(*move) for move, sign in self.signs.items()
         )
         rep.notes["eps_matches_closed_form"] = formula_matches
         if not formula_matches:
@@ -349,12 +357,12 @@ def suite_symmetry(table: TauTable, configurations: bool = True) -> SuiteReport:
     rep = SuiteReport("symmetry", keep=configurations)
     t = LaurentPoly.t()
     for p in table.nonzero_points():
-        v = v_of_point(p)
-        squares = sorted(x * x for x in v.as_tuple())
+        v = twice_v(p.alpha)
+        squares, product = sorted(x * x for x in v), math.prod(v)
         for perm, signs in D4_SAMPLES:
             w = d4_action(v, perm, signs)
-            squares_ok = sorted(x * x for x in w.as_tuple()) == squares
-            product_ok = w.product() == v.product()
+            squares_ok = sorted(x * x for x in w) == squares
+            product_ok = math.prod(w) == product
             # the residual reads v only through v1v2v3v4 and the multiset of
             # the v_k^2, so equal squares and product imply an equal value
             value_ok = squares_ok and product_ok

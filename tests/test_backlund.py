@@ -18,7 +18,6 @@ from p6tau.backlund import (
     PointIndex,
     SigmaFn,
     TODA_PAIRS,
-    VQuad,
     ZeroTau,
     bilinear_combination,
     bilinear_residual,
@@ -29,6 +28,7 @@ from p6tau.backlund import (
     iter_move_configurations,
     iter_move_squares,
     jmo_residual,
+    jmo_residual_with_v,
     miwa_first_residual,
     miwa_second_residual,
     sigma_backlund_residual,
@@ -36,14 +36,14 @@ from p6tau.backlund import (
     sigma_of,
     solve_fourth,
     toda_product,
-    v_of_point,
     via_params,
 )
 from p6tau.f4 import sigma_step
 from p6tau.grassmann import MissingTau, TauT, TauTable
+from p6tau.f4 import d4_action
 from p6tau.lattice import (LatticePoint, all_moves, ball, big_GH, c5_c6, delta, move_vector,
-                           r_weight)
-from p6tau.suites import miwa_bases, perturb_table, suite_symmetry
+                           r_weight, twice_v)
+from p6tau.suites import D4_SAMPLES, miwa_bases, perturb_table, suite_symmetry
 
 T = LaurentPoly.t()
 ORIGIN = LatticePoint((0, 0, 0, 0, 0, 0))
@@ -171,23 +171,23 @@ def test_sigma_of_examples(table2):
     assert (s3.num, s3.den) == (LaurentPoly(0, (2, -2)), LaurentPoly.constant(1))
 
 
-def test_v_of_point_examples():
-    assert v_of_point(ORIGIN).as_tuple() == (0, 0, 0, 0)
-    v = v_of_point(LatticePoint((-1, 0, 0, 1, 0, 0)))
-    assert v.as_tuple() == (Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2))
-    v2 = v_of_point(LatticePoint((0, 0, 0, 0, 1, -1)))
-    assert v2.as_tuple() == (0, 1, -1, 0)
+def test_twice_v_examples():
+    # (v1..v4) doubled: v = (1/2, -1/2, -1/2, -1/2) and (0, 1, -1, 0)
+    assert twice_v(ORIGIN) == (0, 0, 0, 0)
+    assert twice_v(LatticePoint((-1, 0, 0, 1, 0, 0))) == (1, -1, -1, -1)
+    assert twice_v(LatticePoint((0, 0, 0, 0, 1, -1))) == (0, 2, -2, 0)
 
 
 def test_via_params_examples():
-    assert via_params(VQuad(0, 0, 0, 0)) == (0, 0, 0, 0)
-    a, b, g, d = via_params(VQuad(Fraction(1, 2), Fraction(1, 2), 0, 0))
+    assert via_params((0, 0, 0, 0)) == (0, 0, 0, 0)
+    a, b, g, d = via_params((1, 1, 0, 0))  # v = (1/2, 1/2, 0, 0)
     assert (a, b, g, d) == (0, Fraction(-1, 2), 0, 0)
 
 
 def test_via_params_round_trip():
-    v = VQuad(Fraction(3, 2), Fraction(-1, 2), 2, Fraction(1, 2))
-    alpha, beta, gamma, delta = via_params(v)
+    w = (3, -1, 4, 1)
+    v = [Fraction(x, 2) for x in w]
+    alpha, beta, gamma, delta = via_params(w)
     # invert with exact square roots of perfect squares
     def isqrt_frac(x):
         from math import isqrt
@@ -199,10 +199,45 @@ def test_via_params_round_trip():
     d12 = isqrt_frac(2 * gamma)      # |v1 - v2|
     s34 = isqrt_frac(1 - 2 * delta)  # |v3 + v4 + 1|
     d34 = isqrt_frac(2 * alpha)      # |v3 - v4|
-    assert s12 == abs(v.v1 + v.v2) and d12 == abs(v.v1 - v.v2)
-    assert s34 == abs(v.v3 + v.v4 + 1) and d34 == abs(v.v3 - v.v4)
+    assert s12 == abs(v[0] + v[1]) and d12 == abs(v[0] - v[1])
+    assert s34 == abs(v[2] + v[3] + 1) and d34 == abs(v[2] - v[3])
     recovered = {abs(Fraction(s12 + d12, 2)), abs(Fraction(s12 - d12, 2))}
-    assert recovered == {abs(v.v1), abs(v.v2)}
+    assert recovered == {abs(v[0]), abs(v[1])}
+
+
+def _jmo_fraction_oracle(N, D, v):
+    """The sigma equation's residual times D^8 at the parameters v1..v4,
+    given as Fractions:  sigma'(t(t-1) sigma'')^2 + (sigma'[2 sigma -
+    (2t-1) sigma'] + v1v2v3v4)^2 - prod_k (sigma' + v_k^2)."""
+    dD = D.derivative()
+    A = N.derivative() * D - N * dD
+    B = A.derivative() * D - 2 * A * dD
+    D2 = D * D
+    tt1 = T * (T - 1)
+    middle = 2 * A * N * D - (2 * T - 1) * (A * A) + (v[0] * v[1] * v[2] * v[3]) * (D2 * D2)
+    rhs = LaurentPoly.constant(1)
+    for vk in v:
+        rhs = rhs * (A + (vk * vk) * D2)
+    return tt1 * tt1 * A * (B * B) + middle * middle - rhs
+
+
+def test_jmo_residual_is_256_times_the_fraction_form(table2):
+    """On every nonzero r2 point, for its sigma and for sigma + t, at the
+    point's doubled parameters, at their five D4 sample images and at one
+    shift that is no symmetry."""
+    nonzero = 0
+    for p in table2.nonzero_points():
+        s = sigma_of(table2.get(p))
+        w = twice_v(p)
+        params = [d4_action(w, perm, signs) for perm, signs in D4_SAMPLES]
+        params.append((w[0] + 2,) + w[1:])
+        for N, D in ((s.num, s.den), (s.num + T * s.den, s.den)):
+            for x in params:
+                oracle = _jmo_fraction_oracle(N, D, [Fraction(c, 2) for c in x])
+                assert jmo_residual_with_v(N, D, x) == 256 * oracle
+                nonzero += not oracle.is_zero()
+    # sigma + t and the shift leave 903 of these 181 * 12 residuals nonzero
+    assert nonzero == 903
 
 
 def test_jmo_zero_sigma():
@@ -292,7 +327,7 @@ def _sigma_scalars(tau: TauT, t0: Fraction) -> tuple[Fraction, Fraction]:
     dT = tau.T.derivative()
     value = _at(tau.T, t0)
     L = _at(dT, t0) / value
-    c5, c6 = c5_c6(tau.point)
+    c5, c6 = (Fraction(c, 4) for c in c5_c6(tau.point))
     sigma = t0 * (t0 - 1) * L + c5 * (t0 - 1) - c6 / 2
     dsigma = ((2 * t0 - 1) * L + t0 * (t0 - 1) * (_at(dT.derivative(), t0) / value - L * L)
               + c5)

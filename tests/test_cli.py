@@ -179,6 +179,45 @@ def test_sigma_command(table_file, capsys):
     assert payload["sigma"]["num"] == {"1": "-1/4"}
 
 
+# the first 16 hex digits of the sha256 of `p6tau sigma`'s output at every
+# point of ball(1) with a nonzero tau in the radius-2 table, frozen when the
+# per-point scalars were held as Fractions
+SIGMA_DIGESTS = {
+    "-1,0,0,0,0,1": "7e0adb542aab4732",
+    "-1,0,0,0,1,0": "0fed0d2c9e38de7c",
+    "-1,0,0,1,0,0": "8d15b7ad5a9c127e",
+    "0,-1,0,0,0,1": "a474fadc87fa6785",
+    "0,-1,0,0,1,0": "30f3f2556819ba5b",
+    "0,-1,0,1,0,0": "da756f9ba7194e64",
+    "0,0,-1,0,0,1": "9de4fb91ed4088f3",
+    "0,0,-1,0,1,0": "c169905f021dfb49",
+    "0,0,-1,1,0,0": "88ff18912772be88",
+    "0,0,0,-1,0,1": "2a276e8036b8f8be",
+    "0,0,0,-1,1,0": "d66e21bbe5f24fb9",
+    "0,0,0,0,-1,1": "67907875d4cd2c44",
+    "0,0,0,0,0,0": "76816f76e79ad5ed",
+    "0,0,0,0,1,-1": "4a1c1b6ce01f0673",
+    "0,0,0,1,-1,0": "99942d8fa1b9c1c2",
+    "0,0,0,1,0,-1": "4802d99a21b0c404",
+    "0,0,1,-1,0,0": "fa57e24e1ac5700c",
+    "0,0,1,0,-1,0": "edf3a0c004a937f3",
+    "0,0,1,0,0,-1": "2ae678f99ba087ab",
+    "0,1,0,-1,0,0": "7d53016b2df64fc6",
+    "0,1,0,0,-1,0": "1dc85381146ce082",
+    "0,1,0,0,0,-1": "657087fb27a29f44",
+    "1,0,0,-1,0,0": "5af13865bdb4a621",
+    "1,0,0,0,-1,0": "9d22e291fc75613f",
+    "1,0,0,0,0,-1": "a063151a7c128785",
+}
+
+
+def test_sigma_command_output_is_frozen(table_file, capsys):
+    for point, digest in SIGMA_DIGESTS.items():
+        assert main(["sigma", f"--point={point}", "--table", str(table_file)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, point
+
+
 def test_sigma_command_reduces_the_quotient(table_file, capsys):
     # T = (t - 1)/(4t): the unreduced sigma is (-t^2/16 + 3t/16 - 1/8) / ((t - 1)/4),
     # which cancels to a polynomial

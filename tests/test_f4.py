@@ -2,8 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from p6tau.backlund import (DegenerateK, VQuad, iter_move_configurations, sigma_difference,
-                            sigma_of)
+from p6tau.backlund import DegenerateK, iter_move_configurations, sigma_difference, sigma_of
 from p6tau.f4 import (
     E0_F4,
     F4Vector,
@@ -193,10 +192,10 @@ def test_toda_step_zero_product_forces_zero(table2):
 
 
 def test_d4_action_examples():
-    v = VQuad(1, 2, 3, 4)
+    v = (1, 2, 3, 4)
     assert d4_action(v, (0, 1, 2, 3), (1, 1, 1, 1)) == v
     swapped = d4_action(v, (1, 0, 2, 3), (-1, -1, 1, 1))
-    assert swapped == VQuad(-2, -1, 3, 4)
+    assert swapped == (-2, -1, 3, 4)
     with pytest.raises(OddSignCount):
         d4_action(v, (0, 1, 2, 3), (-1, 1, 1, 1))
 

@@ -33,23 +33,6 @@ from p6tau.lattice import LatticePoint, ball, e0_translate, r_weight
 # oracles
 # ---------------------------------------------------------------------------
 
-def invert3_oracle(rows):
-    """Plain Gauss-Jordan inversion over Fractions."""
-    n = 3
-    aug = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        scale = aug[col][col]
-        aug[col] = [x / scale for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [[aug[i][n + j] for j in range(n)] for i in range(n)]
-
-
 def syt_count(parts):
     """Number of standard tableaux by recursive corner removal."""
     parts = tuple(p for p in parts if p)
@@ -73,24 +56,6 @@ def factorial(n):
 # ---------------------------------------------------------------------------
 # frames
 # ---------------------------------------------------------------------------
-
-def test_identity_frame_dual_is_identity():
-    f = FrameMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    assert f.dual == f.rows
-
-
-def test_vandermonde_dual_matches_inversion_oracle():
-    f = FrameMatrix.vandermonde()
-    inv = invert3_oracle(f.rows)
-    # dual rows are the columns of the inverse
-    for i in range(3):
-        for j in range(3):
-            assert f.dual[i][j] == inv[j][i]
-    for i in range(3):
-        for j in range(3):
-            pairing = sum(f.rows[i][a] * f.dual[j][a] for a in range(3))
-            assert pairing == (1 if i == j else 0)
-
 
 def test_singular_frame_rejected():
     with pytest.raises(SingularFrame):

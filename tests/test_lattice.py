@@ -17,6 +17,7 @@ from p6tau.lattice import (
     move_vector,
     n_coeff,
     r_weight,
+    twice_v,
 )
 
 T = LaurentPoly.t()
@@ -52,7 +53,16 @@ def test_c5_c6_examples():
     p = LatticePoint((2, -1, 2, 0, -3, 0))  # a1 == a3 kills c5
     assert c5_c6(p)[0] == 0
     q = LatticePoint((1, 0, -1, 0, 0, 0))
-    assert c5_c6(q) == (Fraction(-1), Fraction(0))
+    assert c5_c6(q) == (-4, 0)  # (4 c5, 4 c6): c5 = -1, c6 = 0
+
+
+def test_twice_v_is_twice_the_fraction_formula_on_ball_2():
+    for p in ball(2):
+        a = p.alpha
+        half_sum = Fraction(a[0] + a[2], 2)
+        v = (half_sum + a[3], half_sum + a[4], half_sum + a[5], Fraction(a[0] - a[2], 2))
+        assert twice_v(p) == twice_v(a) == tuple(2 * x for x in v)
+        assert all(type(x) is int for x in twice_v(p))
 
 
 def test_n_coeff_rules():
@@ -100,8 +110,8 @@ def test_big_gh_frozen_values():
         "ij": zero + move_vector(4, 1),
         "jk": zero + move_vector(1, 5),
     }
-    c5 = {k: c5_c6(v)[0] for k, v in pts.items()}
-    c6 = {k: c5_c6(v)[1] for k, v in pts.items()}
+    c5 = {k: Fraction(c5_c6(v)[0], 4) for k, v in pts.items()}
+    c6 = {k: Fraction(c5_c6(v)[1], 4) for k, v in pts.items()}
     d5 = c5["ij"] + c5["jk"] - c5["ik"] - c5["a"]
     d6 = c6["ij"] + c6["jk"] - c6["ik"] - c6["a"]
     assert (d5, d6) == (Fraction(-1, 2), Fraction(0))
@@ -114,7 +124,8 @@ def _big_gh_fraction_oracle(p, m):
     """G and H straight from the four points' c5/c6, in Fractions."""
     corners = [p + move_vector(m.i, m.j), p + move_vector(m.j, m.k),
                p + move_vector(m.i, m.k), p]
-    (c5ij, c6ij), (c5jk, c6jk), (c5ik, c6ik), (c5a, c6a) = map(c5_c6, corners)
+    (c5ij, c6ij), (c5jk, c6jk), (c5ik, c6ik), (c5a, c6a) = (
+        tuple(Fraction(c, 4) for c in c5_c6(q)) for q in corners)
     g, h = gh_polys(m.j, n_coeff(p, m))
     one_minus_t = LaurentPoly(0, (1, -1))
     G = (g - one_minus_t * (c5ij + c5jk - c5ik - c5a)

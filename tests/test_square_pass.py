@@ -28,7 +28,7 @@ PERTURBED = {
     "base-dependent": (1, 1, 0, -1, -1, 0),
 }
 TABLES = ["r2", "thinned", "r1", *PERTURBED]
-ERRORS = {"r1": "no informative configuration", "no-sign-matches": "no sign matches",
+ERRORS = {"no-sign-matches": "no sign matches",
           "product-zero": "left side nonzero, product zero",
           "base-dependent": "sign depends on the base point"}
 
