@@ -12,9 +12,9 @@ factor); a relation holds iff its residual is literally zero.
 Sweeps find their configurations (move squares, six-point stencils, Toda
 neighbours) through a PointIndex, which keys every point of one table by an
 integer, so that a step along a root is an integer addition.  The move
-squares of a table are walked once, by a SquareSweep: each square's bilinear
-sides and sigma-square residual are computed there once, for every suite
-that reads them.
+squares of a table are walked once, by a SquareSweep: the bilinear sides and
+sigma-square residual of each set of four points are computed there once, for
+every suite that reads them and for both move squares on those points.
 """
 
 from __future__ import annotations
@@ -480,12 +480,28 @@ class Square(NamedTuple):
     `sides` is (L, P) when the walk computes them, else None; `sigmas` the
     corners' sigmas when the walk computes them and all four taus are
     nonzero, else None; `residual` the sigma-square residual R of those
-    sigmas, None where there are none or K vanishes."""
+    sigmas, None where there are none or K vanishes.
+
+    The square of (k, j, i) at the ik corner holds the same four points, as
+    (ik, a, ij, jk), and its records are exact negations of these: see
+    mirrored."""
 
     taus: tuple
     sides: tuple | None
     sigmas: tuple | None
     residual: LaurentPoly | None
+
+    def mirrored(self, taus) -> "Square":
+        """The square of the mirror move (k, j, i) on the same four points,
+        whose corners `taus` are this one's (ik, a, ij, jk).  Swapping a and
+        ik negates the bilinear Wronskian W and n but keeps the product, so
+        its sides are (-L, P); its sigma_edge is (Kd, F, -E, -W, Kd^2) and
+        big_GH gives (G, -H), so Kn and S change sign and its residual is
+        -R, degenerate exactly where this one is."""
+        s, sides, R = self.sigmas, self.sides, self.residual
+        return Square(taus, None if sides is None else (-sides[0], sides[1]),
+                      None if s is None else (s[1], s[0], s[2], s[3]),
+                      None if R is None else -R)
 
 
 class SquareSweep:
@@ -494,7 +510,12 @@ class SquareSweep:
     each polynomial they share once: sigma per nonzero point, the
     bilinear_edge and sigma_edge terms per edge (a, ik), and per square its
     bilinear sides (L, P) and its sigma-square residual R.  The edge cache is
-    dropped whenever the move's i changes, once per i in all_moves() order."""
+    dropped whenever the move's i changes, once per i in all_moves() order.
+
+    The square of (i, j, k) at a and the square of (k, j, i) at a + d_i - d_k
+    hold the same four points.  Only the first, i < k, is computed; it is
+    kept until the walk reaches the move (k, j, i), whose square reads it
+    negated (Square.mirrored), so each point set is computed once."""
 
     def __init__(self, table: TauTable):
         self.table, self.index = table, PointIndex(table)
@@ -503,12 +524,21 @@ class SquareSweep:
     def moves(self, sides: bool = True, sigmas: bool = True):
         """(m, squares) for every move in all_moves() order, squares being
         the Square of each of its configurations, bases in table.points()
-        order; the sides are computed when `sides`, sigmas and R when `sigmas`."""
+        order; the sides are computed when `sides`, sigmas and R when `sigmas`.
+        A square of a move with i > k is its twin's, mirrored."""
         sigma = ({tau.point: sigma_of(tau) for tau in self.index.taus.values()
                   if not tau.is_zero()} if sigmas else {})
+        twins = {}     # mirror move -> {mirror's base point: twin Square}
         for m in all_moves():
+            mirrored = twins.pop((m.i, m.j, m.k), {})
+            keep = twins.setdefault((m.k, m.j, m.i), {}) if m.i < m.k else None
             squares = []
             for taus in iter_move_configurations(self.table, m, self.index):
+                t_a, t_ik, t_ij, t_jk = taus
+                twin = mirrored.pop(t_a.point, None)
+                if twin is not None and twin.taus == (t_ik, t_a, t_ij, t_jk):
+                    squares.append(twin.mirrored(taus))
+                    continue
                 s = R = None
                 if sigmas and not any(tau.is_zero() for tau in taus):
                     s = tuple(sigma[tau.point] for tau in taus)
@@ -516,8 +546,10 @@ class SquareSweep:
                         R = self.sigma_residual(m, s)
                     except DegenerateK:
                         pass
-                squares.append(Square(taus, self.bilinear_sides(m, taus) if sides else None,
-                                      s, R))
+                square = Square(taus, self.bilinear_sides(m, taus) if sides else None, s, R)
+                squares.append(square)
+                if keep is not None:
+                    keep[t_ik.point] = square
             yield m, squares
 
     def _edge(self, m: MoveIJK, key, build):

@@ -132,6 +132,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for r in reports:
         status = "pass" if r.passed else "FAIL"
         line = f"{r.name}: {status} ({r.checks} checks"
+        if not r.checks:
+            line += ", nothing to check on this table"
         if not r.passed:
             first = r.failures[0]
             line += f", {len(r.failures)} failures, first: {first}"

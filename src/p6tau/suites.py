@@ -18,7 +18,9 @@ from .backlund import (
     NoConsistentSign,
     PointIndex,
     TODA_PAIRS,
+    SigmaFn,
     SquareSweep,
+    T_SQUARED,
     eps_block_inversions,
     iter_miwa_stencils,
     jmo_residual,
@@ -235,7 +237,10 @@ class _F4:
     the square (backlund.sigma_square_residual), and it is degenerate on the
     same squares; so each step is checked through the R that the walk
     computes once per square for this suite and sigma-backlund, which holds
-    the same verdict and term count.
+    the same verdict and term count.  The step of a square of (k, j, i),
+    k > i, reads the R of its twin square of (i, j, k) on the same four
+    points negated (backlund.Square.mirrored): the same verdict and term
+    count again.
 
     The membership check cannot fail: a5_to_f4 writes the doubled coordinates
     (a1+a3)+2a_{3+i} and a1-a3, which always share their parity, so every
@@ -353,9 +358,15 @@ D4_SAMPLES = (
 )
 
 
+def d4_probe(s: SigmaFn) -> tuple[LaurentPoly, LaurentPoly]:
+    """sigma + t^2 as (num, den): its sigma-form residual is nonzero for
+    every parameter quadruple.  sigma = O(t) at infinity, so the probe is
+    t^2 + O(t) and its residual is 16 t^6 + O(t^5), times 256 den^8."""
+    return s.num + T_SQUARED * s.den, s.den
+
+
 def suite_symmetry(table: TauTable, configurations: bool = True) -> SuiteReport:
     rep = SuiteReport("symmetry", keep=configurations)
-    t = LaurentPoly.t()
     for p in table.nonzero_points():
         v = twice_v(p.alpha)
         squares, product = sorted(x * x for x in v), math.prod(v)
@@ -367,8 +378,7 @@ def suite_symmetry(table: TauTable, configurations: bool = True) -> SuiteReport:
             # the v_k^2, so equal squares and product imply an equal value
             value_ok = squares_ok and product_ok
             if not value_ok:
-                s = sigma_of(table.get(p))
-                probe = (s.num + t * s.den, s.den)  # sigma + t: a nonzero residual probe
+                probe = d4_probe(sigma_of(table.get(p)))
                 base_res = jmo_residual_with_v(*probe, v)
                 value_ok = jmo_residual_with_v(*probe, w) == base_res
             rep.record(squares_ok and product_ok and value_ok,

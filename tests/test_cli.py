@@ -463,3 +463,24 @@ def test_frame_sweep_path_on_a_dense_frame(tmp_path, capsys):
     assert payload["passed"] is True
     assert [(s["suite"], s["checks"]) for s in payload["suites"]] == [
         ("toda", 153), ("bilinear", 6150), ("jmo", 181), ("sigma-backlund", 2664)]
+
+
+def test_verify_says_when_a_suite_had_nothing_to_check(tmp_path, capsys):
+    """On the identity frame every move square holds a zero tau, so
+    sigma-backlund passes with 0 checks; the summary line says so, and the
+    report records the bare count."""
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]))
+    table, report = tmp_path / "table.json", tmp_path / "report.json"
+    assert main(["gen", "--frame", str(frame), "--radius", "2", "--out", str(table)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--table", str(table), "--out", str(report)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "bilinear: pass (4308 checks)", "f4: pass (277 checks)", "jmo: pass (25 checks)",
+        "miwa: pass (1404 checks)",
+        "sigma-backlund: pass (0 checks, nothing to check on this table)",
+        "symmetry: pass (162 checks)", "toda: pass (156 checks)"]
+    sigma, = [s for s in json.loads(report.read_text())["suites"]
+              if s["suite"] == "sigma-backlund"]
+    assert sigma == {"suite": "sigma-backlund", "checks": 0, "passed": True, "failures": [],
+                     "notes": {"degenerate_K": 0}}

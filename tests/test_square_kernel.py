@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from p6tau.backlund import (B_POLYS, DegenerateK, SquareSweep, bilinear_residual,
-                            sigma_backlund_residual, sigma_difference)
+                            sigma_backlund_residual, sigma_difference, sigma_of)
 from p6tau.exactalg import LaurentPoly
 from p6tau.f4 import sigma_step
 from p6tau.grassmann import FrameMatrix, TauTable
@@ -22,6 +22,8 @@ DENSE_FRAME = [[(59, 75), (-73, 87), (-82, 63)],
 PERTURBED = [(-1, 0, 0, 1, 0, 0), (0, 0, 0, 1, -1, 0), (0, 0, 0, -2, 0, 2),
              (1, 0, -1, 0, 0, 0), (1, 1, 0, -1, -1, 0)]
 TABLES = ["r2", "dense"] + [f"r2+{p}" for p in PERTURBED]
+# the zero-entry frame of test_grassmann.ORACLE_FRAMES
+ZERO_ENTRY_FRAME = [[0, 1, 2], [3, 0, 5], [7, 11, 0]]
 # (squares of four nonzero taus, those with a nonzero residual R, those where
 # K vanishes) on each table; the bump at (1, 0, -1, 0, 0, 0) makes a zero tau
 # nonzero, which adds 24 squares, and K vanishes on 24 squares
@@ -36,12 +38,14 @@ def dense_table():
 
 @pytest.fixture
 def table(request, table2, dense_table):
-    """(name, table) for a name of TABLES."""
+    """(name, table) for a name of TABLES or "zero-entries"."""
     name = request.param
     if name == "r2":
         return name, table2
     if name == "dense":
         return name, dense_table
+    if name == "zero-entries":
+        return name, TauTable.build(FrameMatrix(ZERO_ENTRY_FRAME), 2)
     return name, perturb_table(table2, LatticePoint(PERTURBED[TABLES.index(name) - 2]))
 
 
@@ -120,3 +124,32 @@ def test_sigma_kernel_is_the_residual_and_minus_the_f4_step_residual(table):
     f4 = suite_f4(table).configurations
     assert [c for c in f4 if c.get("check") == "sigma-step"] == steps
     assert (len(steps) + degenerate, nonzero, degenerate) == SQUARES[TABLES.index(name)]
+
+
+@pytest.mark.parametrize("table", ["r2", "dense", "zero-entries", "r2+(0, 0, 0, 1, -1, 0)"],
+                         indirect=True)
+def test_mirror_squares_match_a_direct_computation(table):
+    """The walk computes the square of (i, j, k), i < k, and the square of
+    (k, j, i) on the same four points reads its records negated; every
+    square's (L, P) and R must equal those computed for it directly."""
+    name, table = table
+    direct = SquareSweep(table)
+    sigma = {p: sigma_of(table.get(p)) for p in table.nonzero_points()}
+    squares, nonzero = 0, {True: 0, False: 0}
+    for m, move_squares in SquareSweep(table).moves():
+        for square in move_squares:
+            assert square.sides == direct.bilinear_sides(m, square.taus)
+            if any(tau.is_zero() for tau in square.taus):
+                assert square.sigmas is square.residual is None
+                continue
+            assert square.sigmas == tuple(sigma[tau.point] for tau in square.taus)
+            R = _or_degenerate(direct.sigma_residual, m, square.sigmas)
+            assert square.residual == R
+            if R is not None and not R.is_zero():
+                nonzero[m.i < m.k] += 1
+            squares += 1
+    assert squares == (SQUARES[TABLES.index(name)][0] if name in TABLES else 702)
+    # the perturbed table's nonzero residuals sit on computed and mirrored
+    # squares alike
+    assert nonzero == ({True: 27, False: 27} if name.startswith("r2+") else
+                       {True: 0, False: 0})

@@ -86,26 +86,29 @@ def test_shared_walk_matches_the_suites_run_alone(fresh, name, order):
 
 
 def test_shared_walk_computes_each_sigma_and_residual_once(fresh, monkeypatch):
-    calls = {"sigma_of": 0, "sigma_square": 0}
+    calls = {"sigma_of": 0, "sigma_square": 0, "bilinear_sides": 0}
 
-    def counted(name):
-        original = getattr(backlund, name)
+    def counted(owner, name):
+        original = getattr(owner, name)
 
         def wrapper(*args):
             calls[name] += 1
             return original(*args)
 
-        monkeypatch.setattr(backlund, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
 
-    counted("sigma_of")       # the walk's; suite_jmo calls suites.sigma_of
-    counted("sigma_square")
+    counted(backlund, "sigma_of")       # the walk's; suite_jmo calls suites.sigma_of
+    counted(backlund, "sigma_square")
+    counted(backlund.SquareSweep, "bilinear_sides")
     table = fresh("r2")
     assert len(table.nonzero_points()) == 181
     reports = run_suites(table, DEFAULT, configurations=False)
     assert all(r.passed for r in reports)
-    # 181 nonzero points and 1,332 squares of four nonzero taus, each once
-    # although sigma-backlund and f4 both read every one
-    assert calls == {"sigma_of": 181, "sigma_square": 1332}
+    # 181 nonzero points; 3,840 squares on 1,920 point sets, 1,332 of them
+    # of four nonzero taus on 666 sets: each set's polynomials are computed
+    # once, by the square of (i, j, k) with i < k, although its mirror square
+    # of (k, j, i) and the suites sigma-backlund and f4 all read them
+    assert calls == {"sigma_of": 181, "sigma_square": 666, "bilinear_sides": 1920}
     checks = {r.name: r.checks for r in reports}
     assert (checks["bilinear"], checks["sigma-backlund"], checks["f4"]) == (6150, 2664, 1663)
 

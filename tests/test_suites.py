@@ -159,12 +159,10 @@ def test_the_per_point_suites_build_no_fraction(table2, monkeypatch):
 def test_d4_value_is_implied_by_squares_and_product_on_the_r2_samples(table2):
     """suite_symmetry skips the d4 value check when the squares and the
     product agree; on every nonzero r2 point and sample it would pass."""
-    t = LaurentPoly.t()
     done = 0
     for p in table2.nonzero_points():
         v = twice_v(p)
-        s = sigma_of(table2.get(p))
-        probe = (s.num + t * s.den, s.den)
+        probe = suites.d4_probe(sigma_of(table2.get(p)))
         base = jmo_residual_with_v(*probe, v)
         for perm, signs in suites.D4_SAMPLES:
             w = d4_action(v, perm, signs)
@@ -191,23 +189,34 @@ def test_d4_check_evaluates_the_residual_only_when_needed(table1, monkeypatch):
     assert len(d4) == 5 * nonzero and all(c["ok"] for c in d4)
     assert not calls
     # a broken action changes v1 by 1 (2 v1 by 2): each check now evaluates
-    # the residual and fails, counting the base residual's terms when the
-    # value moved
+    # the residual, finds that the value moved and fails, counting the terms
+    # of the probe's residual, which is never zero
     monkeypatch.setattr(suites, "d4_action", lambda w, perm, signs: (w[0] + 2,) + w[1:])
     broken = suites.suite_symmetry(TauTable(table1.frame, dict(table1.entries), radius=1))
     assert broken.checks == rep.checks and calls
-    t = LaurentPoly.t()
     failures = [f for f in broken.failures if f["check"] == "d4"]
     assert len(failures) == len(d4)
     for f in failures:
         p = LatticePoint(f["point"])
         v = twice_v(p)
-        s = sigma_of(table1.get(p))
-        probe = (s.num + t * s.den, s.den)
+        probe = suites.d4_probe(sigma_of(table1.get(p)))
         base = evaluate(*probe, v)
-        moved = evaluate(*probe, (v[0] + 2,) + v[1:]) != base
-        assert f["terms"] == (sum(1 for c in base.coeffs if c) if moved else 0)
-    assert any(f["terms"] > 0 for f in failures)
+        assert evaluate(*probe, (v[0] + 2,) + v[1:]) != base
+        assert f["terms"] == sum(1 for c in base.coeffs if c) > 0
+
+
+@pytest.mark.parametrize("radius", [2, 3])
+def test_d4_probe_residual_is_nonzero_on_every_point(frame, table2, radius):
+    """The d4 value check compares the sigma-form residuals of its probe at v
+    and at the moved parameters; it reads as a check only where the residual
+    at v is nonzero, which the probe sigma + t^2 is at every nonzero point of
+    the r2 and r3 tables (sigma + t was zero at 55 of the 181 r2 points)."""
+    table = table2 if radius == 2 else TauTable.build(frame, 3)
+    points = table.nonzero_points()
+    assert len(points) == {2: 181, 3: 777}[radius]
+    for p in points:
+        s = sigma_of(table.get(p))
+        assert not jmo_residual_with_v(*suites.d4_probe(s), twice_v(p)).is_zero()
 
 
 @pytest.mark.parametrize("name", sorted(suites.SUITES))
