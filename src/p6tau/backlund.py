@@ -12,9 +12,11 @@ factor); a relation holds iff its residual is literally zero.
 Sweeps find their configurations (move squares, six-point stencils, Toda
 neighbours) through a PointIndex, which keys every point of one table by an
 integer, so that a step along a root is an integer addition.  The move
-squares of a table are walked once, by a SquareSweep: the bilinear sides and
-sigma-square residual of each set of four points are computed there once, for
-every suite that reads them and for both move squares on those points.
+squares of a table are walked once, by a SquareSweep: the bilinear sides
+(L, P) and sigma-square residual of each set of four points are computed
+there once, for every suite that reads them and for both move squares on
+those points.  No sigma is computed there: K vanishes exactly when L does, and
+the residual is a multiple of the Wronskian L' P - L P' (sigma_residual_of_sides).
 """
 
 from __future__ import annotations
@@ -70,6 +72,8 @@ TT1_SQUARED = TT1 * TT1
 
 # directional derivatives d_j = b_j(t) d/dt: b1 = t(t-1), b2 = t, b3 = -t^2
 B_POLYS = {1: TT1, 2: T_POLY, 3: -T_SQUARED}
+# t^2 (t-1)^2 / b_j
+WRONSKIAN_FACTORS = {1: TT1, 2: TT1 * T_MINUS_1, 3: -(T_MINUS_1 * T_MINUS_1)}
 
 
 @dataclass(frozen=True)
@@ -451,24 +455,37 @@ def sigma_square(edge, G: LaurentPoly, H: LaurentPoly) -> tuple[LaurentPoly, Lau
     return Kn, (F + G * Kd) * Kn + TT1 * (wronskian + H.derivative() * Kd2)
 
 
-def sigma_square_residual(Kd, Kn, S, s_ij: SigmaFn, s_jk: SigmaFn) -> LaurentPoly:
-    """R = (Nij Djk + Njk Dij) Kd Kn - S Dij Djk: zero iff the relation holds."""
-    return (s_ij.num * s_jk.den + s_jk.num * s_ij.den) * (Kd * Kn) - S * (s_ij.den * s_jk.den)
-
-
 def sigma_backlund_residual(s_a: SigmaFn, s_ik: SigmaFn, s_ij: SigmaFn,
                             s_jk: SigmaFn, m: MoveIJK) -> LaurentPoly:
     """Denominator-free residual of the sigma-level relation:
 
     (sij + sjk - sik - sa - G) * K - t(t-1) * K',  K = sa - sik + H = Kn/Kd,
 
-    times Dij Djk Kd^2, where D is the denominator of each sigma: the R of
-    sigma_square_residual.  Zero iff the relation holds; the log derivative
-    never appears as such.
+    times Dij Djk Kd^2, where D is the denominator of each sigma: with Kn and
+    S of sigma_square, R = (Nij Djk + Njk Dij) Kd Kn - S Dij Djk.  Zero iff
+    the relation holds; the log derivative never appears as such.
     """
     _check_configuration(s_a, s_ik, s_ij, s_jk, m)
     edge = sigma_edge(s_a, s_ik)
-    return sigma_square_residual(edge[0], *sigma_square(edge, *big_GH(s_a.point, m)), s_ij, s_jk)
+    Kn, S = sigma_square(edge, *big_GH(s_a.point, m))
+    return (s_ij.num * s_jk.den + s_jk.num * s_ij.den) * (edge[0] * Kn) - S * (s_ij.den * s_jk.den)
+
+
+def sigma_residual_of_sides(m: MoveIJK, taus, L: LaurentPoly, P: LaurentPoly) -> LaurentPoly:
+    """sigma_backlund_residual of the sigmas of four nonzero taus (Ta, Tik,
+    Tij, Tjk), from their bilinear sides (L, P): R = -t^k t^2(t-1)^2/b_j
+    Ta Tik (L' P - L P'), k = -(m_ij + m_jk) - 2 (m_a + m_ik), m_p the
+    min_degree of T_p.  The parts kappa_p = c5 (t-1) - c6/2 of the sigmas
+    give kappa_a - kappa_ik + H = n_j t(t-1)/b_j, so K = sa - sik + H =
+    (t(t-1)/b_j) L/(Ta Tik) vanishes exactly when L does (DegenerateK); in
+    t(t-1) K'/K the G and kappa terms cancel: the relation is L' P = L P'.
+    """
+    if L.is_zero():
+        raise DegenerateK("K vanishes on the move square")
+    W = L.derivative() * P - L * P.derivative()
+    t_a, t_ik, t_ij, t_jk = (tau.T for tau in taus)
+    k = -(t_ij.min_degree + t_jk.min_degree) - 2 * (t_a.min_degree + t_ik.min_degree)
+    return LaurentPoly.monomial(-1, k) * WRONSKIAN_FACTORS[m.j] * (t_a * t_ik) * W
 
 
 # ---------------------------------------------------------------------------
@@ -476,41 +493,36 @@ def sigma_backlund_residual(s_a: SigmaFn, s_ik: SigmaFn, s_ij: SigmaFn,
 # ---------------------------------------------------------------------------
 
 class Square(NamedTuple):
-    """One move square of a walk.  `taus` are its corners (Ta, Tik, Tij, Tjk);
-    `sides` is (L, P) when the walk computes them, else None; `sigmas` the
-    corners' sigmas when the walk computes them and all four taus are
-    nonzero, else None; `residual` the sigma-square residual R of those
-    sigmas, None where there are none or K vanishes.
-
-    The square of (k, j, i) at the ik corner holds the same four points, as
-    (ik, a, ij, jk), and its records are exact negations of these: see
-    mirrored."""
+    """One move square of a walk: its corners `taus` (Ta, Tik, Tij, Tjk), its
+    bilinear `sides` (L, P), their `difference` L - eps P with the closed-form
+    sign, and the sigma-square `residual` R when the walk computes it and all
+    four taus are nonzero, else None; None too where K vanishes, which is
+    exactly where L = 0 (sigma_residual_of_sides)."""
 
     taus: tuple
-    sides: tuple | None
-    sigmas: tuple | None
+    sides: tuple
+    difference: LaurentPoly
     residual: LaurentPoly | None
 
     def mirrored(self, taus) -> "Square":
         """The square of the mirror move (k, j, i) on the same four points,
-        whose corners `taus` are this one's (ik, a, ij, jk).  Swapping a and
-        ik negates the bilinear Wronskian W and n but keeps the product, so
-        its sides are (-L, P); its sigma_edge is (Kd, F, -E, -W, Kd^2) and
-        big_GH gives (G, -H), so Kn and S change sign and its residual is
-        -R, degenerate exactly where this one is."""
-        s, sides, R = self.sigmas, self.sides, self.residual
-        return Square(taus, None if sides is None else (-sides[0], sides[1]),
-                      None if s is None else (s[1], s[0], s[2], s[3]),
-                      None if R is None else -R)
+        whose corners `taus` are this one's (ik, a, ij, jk): its sides are
+        (-L, P), since swapping a and ik negates the Wronskian Tik Ta' - Ta
+        Tik' and n; (k, j, i) reverses each of the odd number of same-block
+        pairs of (i, j, k), so eps and the difference change sign; so does R."""
+        (L, P), R = self.sides, self.residual
+        return Square(taus, (-L, P), -self.difference, None if R is None else -R)
 
 
 class SquareSweep:
     """One walk over the move squares of a table, which every move-square
     suite (bilinear, sigma-backlund, f4) and calibrate_eps read.  It computes
-    each polynomial they share once: sigma per nonzero point, the
-    bilinear_edge and sigma_edge terms per edge (a, ik), and per square its
-    bilinear sides (L, P) and its sigma-square residual R.  The edge cache is
-    dropped whenever the move's i changes, once per i in all_moves() order.
+    each polynomial they share once: the bilinear_edge terms per edge
+    (a, ik), dropped whenever the move's i changes, and per square its
+    bilinear sides (L, P), L - eps P and, when asked, its sigma-square
+    residual R.  R needs no sigma: it is zero where L = eps P and formed
+    from the Wronskian L' P - L P' (sigma_residual_of_sides) on a failing
+    square only; it is degenerate exactly where L = 0.
 
     The square of (i, j, k) at a and the square of (k, j, i) at a + d_i - d_k
     hold the same four points.  Only the first, i < k, is computed; it is
@@ -521,63 +533,50 @@ class SquareSweep:
         self.table, self.index = table, PointIndex(table)
         self._edges, self._i = {}, None
 
-    def moves(self, sides: bool = True, sigmas: bool = True):
+    def moves(self, residuals: bool = True):
         """(m, squares) for every move in all_moves() order, squares being
         the Square of each of its configurations, bases in table.points()
-        order; the sides are computed when `sides`, sigmas and R when `sigmas`.
-        A square of a move with i > k is its twin's, mirrored."""
-        sigma = ({tau.point: sigma_of(tau) for tau in self.index.taus.values()
-                  if not tau.is_zero()} if sigmas else {})
+        order; R is computed when `residuals`.  A square of a move with i > k
+        is its twin's, mirrored."""
         twins = {}     # mirror move -> {mirror's base point: twin Square}
         for m in all_moves():
             mirrored = twins.pop((m.i, m.j, m.k), {})
             keep = twins.setdefault((m.k, m.j, m.i), {}) if m.i < m.k else None
+            closed = eps_block_inversions(m.i, m.j, m.k)
             squares = []
             for taus in iter_move_configurations(self.table, m, self.index):
                 t_a, t_ik, t_ij, t_jk = taus
-                twin = mirrored.pop(t_a.point, None)
-                if twin is not None and twin.taus == (t_ik, t_a, t_ij, t_jk):
+                twin = mirrored.pop(t_a.point, None)    # on the same four points
+                if twin is not None:
                     squares.append(twin.mirrored(taus))
                     continue
-                s = R = None
-                if sigmas and not any(tau.is_zero() for tau in taus):
-                    s = tuple(sigma[tau.point] for tau in taus)
-                    try:
-                        R = self.sigma_residual(m, s)
-                    except DegenerateK:
-                        pass
-                square = Square(taus, self.bilinear_sides(m, taus) if sides else None, s, R)
+                L, P = sides = self.bilinear_sides(m, taus)
+                difference = L - P if closed == 1 else L + P
+                R = None
+                if residuals and not L.is_zero() and not any(tau.is_zero() for tau in taus):
+                    # L = eps P makes the Wronskian, and so R, zero
+                    R = (difference if difference.is_zero()
+                         else sigma_residual_of_sides(m, taus, L, P))
+                square = Square(taus, sides, difference, R)
                 squares.append(square)
                 if keep is not None:
                     keep[t_ik.point] = square
             yield m, squares
 
-    def _edge(self, m: MoveIJK, key, build):
-        """build(), computed once per key while the move's i stays the same."""
-        if m.i != self._i:
-            self._i, self._edges = m.i, {}
-        edge = self._edges.get(key)
-        if edge is None:
-            edge = self._edges[key] = build()
-        return edge
-
     def bilinear_sides(self, m: MoveIJK, taus) -> tuple[LaurentPoly, LaurentPoly]:
         """(L, P) of a square's taus (Ta, Tik, Tij, Tjk): L = bilinear_combination(Ta,
         Tik, m), with the integer n_j = (1, -1, 0)[j - 1] (R(ik) - R(a)), and P = Tij Tjk."""
         t_a, t_ik, t_ij, t_jk = taus
-        wronskian, product = self._edge(m, ("bilinear", t_a.point, t_ik.point),
-                                        lambda: bilinear_edge(t_a.T, t_ik.T))
+        if m.i != self._i:
+            self._i, self._edges = m.i, {}
+        key = (t_a.point, t_ik.point)
+        edge = self._edges.get(key)
+        if edge is None:
+            edge = self._edges[key] = bilinear_edge(t_a.T, t_ik.T)
+        wronskian, product = edge
         n = (1, -1, 0)[m.j - 1] * (t_ik.weight - t_a.weight)
         lhs = B_POLYS[m.j] * wronskian
         return (lhs + n * product if n else lhs), t_ij.T * t_jk.T
-
-    def sigma_residual(self, m: MoveIJK, sigmas) -> LaurentPoly:
-        """sigma_backlund_residual of a square's sigmas (sa, sik, sij, sjk);
-        raises DegenerateK."""
-        s_a, s_ik, s_ij, s_jk = sigmas
-        edge = self._edge(m, ("sigma", s_a.point, s_ik.point), lambda: sigma_edge(s_a, s_ik))
-        Kn, S = sigma_square(edge, *big_GH(s_a.point, m))
-        return sigma_square_residual(edge[0], Kn, S, s_ij, s_jk)
 
 
 # ---------------------------------------------------------------------------
@@ -623,4 +622,4 @@ def calibrate_eps(table: TauTable) -> EpsTable:
     table (no configuration with a nonzero right side) InsufficientData.
     """
     return EpsTable({(m.i, m.j, m.k): move_sign(m, squares)
-                     for m, squares in SquareSweep(table).moves(sigmas=False)})
+                     for m, squares in SquareSweep(table).moves(residuals=False)})

@@ -139,36 +139,37 @@ def suite_jmo(table: TauTable, configurations: bool = True) -> SuiteReport:
 
 class _Bilinear:
     """Per move, the sign is calibrated from the squares' (L, P) pairs, then
-    each square checks L - eps P and the solve-fourth division L / (eps Tij)
-    against Tjk.  A move whose squares all have P = 0 cannot be calibrated;
-    move_sign raises NoConsistentSign for a nonzero L first, so each such
-    square has L = 0 too and the relation holds with either sign: the move
-    is listed in the notes' uncalibrated_moves and checked with the closed-
-    form sign.  Any other calibration failure replaces the whole report,
-    with calibrate_eps's error."""
+    each square checks L - eps P (the walk's difference) and the solve-fourth
+    division L / (eps Tij) against Tjk.  A move whose squares all have P = 0
+    cannot be calibrated; move_sign raises NoConsistentSign for a nonzero L
+    first, so each such square has L = 0 too and the relation holds with
+    either sign: the move is listed in the notes' uncalibrated_moves and
+    checked with the closed-form sign.  Any other calibration failure
+    replaces the whole report, with calibrate_eps's error, and ends the suite."""
 
-    sides, sigmas = True, False
+    residuals = done = False
 
     def __init__(self, sweep: SquareSweep, configurations: bool):
         self.rep = SuiteReport("bilinear", keep=configurations)
         self.signs, self.uncalibrated, self.error = {}, [], None
 
     def move(self, m, squares):
-        if self.error is not None:
+        if self.done:
             return
+        closed = eps_block_inversions(m.i, m.j, m.k)
         try:
             sign = self.signs[(m.i, m.j, m.k)] = move_sign(m, squares)
         except InsufficientData:
             self.uncalibrated.append([m.i, m.j, m.k])
-            sign = eps_block_inversions(m.i, m.j, m.k)
+            sign = closed
         except NoConsistentSign as exc:
-            self.error = exc
+            self.error, self.done = exc, True
             return
         labels = {"move": [m.i, m.j, m.k]}
         for square in squares:
             t_a, _, t_ij, t_jk = square.taus
             lhs, rhs = square.sides
-            residual = lhs - rhs if sign == 1 else lhs + rhs
+            residual = square.difference if sign == closed else lhs - sign * rhs
             base = t_a.point.to_json()
             self.rep.record(residual.is_zero(), _terms(residual), **labels, base=base)
             if not t_ij.is_zero():
@@ -197,18 +198,21 @@ class _Bilinear:
 class _SigmaBacklund:
     """The sigma-level relation on every square of four nonzero taus, and its
     implication: the bilinear residual, with the closed-form sign, vanishes
-    on the same square.  Squares where K vanishes are counted, not checked."""
+    on the same square.  Squares where K vanishes are counted, not checked.
+    The walk's R needs no sigma: K = (t(t-1)/b_j) L/(Ta Tik) vanishes exactly
+    when L = 0, and R is a multiple of the Wronskian of the bilinear sides
+    (backlund.sigma_residual_of_sides)."""
 
-    sides, sigmas = True, True
+    residuals, done = True, False
 
     def __init__(self, sweep: SquareSweep, configurations: bool):
         self.rep = SuiteReport("sigma-backlund", keep=configurations)
         self.degenerate = 0
 
     def move(self, m, squares):
-        rep, sign = self.rep, eps_block_inversions(m.i, m.j, m.k)
+        rep = self.rep
         for square in squares:
-            if square.sigmas is None:
+            if any(tau.is_zero() for tau in square.taus):
                 continue
             res = square.residual
             if res is None:
@@ -217,8 +221,7 @@ class _SigmaBacklund:
             labels = {"move": [m.i, m.j, m.k], "base": square.taus[0].point.to_json()}
             rep.record(res.is_zero(), _terms(res), **labels)
             # a failure counts the terms of whichever residual is nonzero, sigma's first
-            lhs, rhs = square.sides
-            bil = lhs - rhs if sign == 1 else lhs + rhs
+            bil = square.difference
             rep.record(bil.is_zero() and res.is_zero(), _terms(bil if res.is_zero() else res),
                        check="implication", **labels)
 
@@ -234,13 +237,11 @@ class _F4:
 
     A sigma step's round-trip residual sigma_difference(sigma_step(s_a,
     s_ik, s_ij, m), s_jk) is exactly -R, R the sigma-backlund residual of
-    the square (backlund.sigma_square_residual), and it is degenerate on the
-    same squares; so each step is checked through the R that the walk
-    computes once per square for this suite and sigma-backlund, which holds
-    the same verdict and term count.  The step of a square of (k, j, i),
-    k > i, reads the R of its twin square of (i, j, k) on the same four
-    points negated (backlund.Square.mirrored): the same verdict and term
-    count again.
+    the square, degenerate on the same squares; so each step is checked
+    through the walk's R, with the same verdict and term count.  That R
+    needs no sigma: K = (t(t-1)/b_j) L/(Ta Tik) vanishes exactly when L = 0,
+    and R is a multiple of the Wronskian of the bilinear sides
+    (backlund.sigma_residual_of_sides).
 
     The membership check cannot fail: a5_to_f4 writes the doubled coordinates
     (a1+a3)+2a_{3+i} and a1-a3, which always share their parity, so every
@@ -248,7 +249,7 @@ class _F4:
     record that every point of the table was mapped.
     """
 
-    sides, sigmas = False, True
+    residuals, done = True, False
 
     def __init__(self, sweep: SquareSweep, configurations: bool):
         self.rep = rep = SuiteReport("f4", keep=configurations)
@@ -302,9 +303,9 @@ SQUARE_SUITES = {"bilinear": _Bilinear, "sigma-backlund": _SigmaBacklund, "f4": 
 
 class SquarePass:
     """The reports of the move-square suites in `names`, repeats included,
-    from one SquareSweep walk over the table.  The walk runs when the first
-    report is taken, and runs again, for the reports not yet taken, when the
-    table has grown since (suite_symmetry computes missing points into it)."""
+    from one SquareSweep walk, stopped once every suite is done.  It runs
+    when the first report is taken, and again, for the reports not yet
+    taken, when the table has grown since (suite_symmetry adds points)."""
 
     def __init__(self, table: TauTable, names, configurations: bool = True):
         self.table, self.names, self.configurations = table, list(names), configurations
@@ -314,10 +315,11 @@ class SquarePass:
         if self.size != len(self.table):
             sweep = SquareSweep(self.table)
             suites = [SQUARE_SUITES[n](sweep, self.configurations) for n in self.names]
-            for m, squares in sweep.moves(sides=any(s.sides for s in suites),
-                                          sigmas=any(s.sigmas for s in suites)):
+            for m, squares in sweep.moves(residuals=any(s.residuals for s in suites)):
                 for suite in suites:
                     suite.move(m, squares)
+                if all(suite.done for suite in suites):
+                    break
             self.reports, self.size = [suite.report() for suite in suites], len(self.table)
         i = self.names.index(name)
         del self.names[i]

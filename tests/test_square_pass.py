@@ -1,6 +1,7 @@
 """run_suites walks the move squares once for bilinear, sigma-backlund and
 f4 together (suites.SquarePass); every report must be byte-identical to the
-suite run alone, and each square's sigma residual is computed once."""
+suite run alone, each point set's polynomials are computed once, and the walk
+stops once every suite in it is done."""
 
 import json
 import random
@@ -85,32 +86,50 @@ def test_shared_walk_matches_the_suites_run_alone(fresh, name, order):
         assert _dumps(shared[:1]) == _dumps(shared[2:])
 
 
-def test_shared_walk_computes_each_sigma_and_residual_once(fresh, monkeypatch):
-    calls = {"sigma_of": 0, "sigma_square": 0, "bilinear_sides": 0}
-
-    def counted(owner, name):
+def _count_calls(monkeypatch, *targets):
+    """{name: 0} for each (owner, name), each counting its calls from now on."""
+    calls = {}
+    for owner, name in targets:
         original = getattr(owner, name)
+        calls[name] = 0
 
-        def wrapper(*args):
+        def wrapper(*args, name=name, original=original):
             calls[name] += 1
             return original(*args)
 
         monkeypatch.setattr(owner, name, wrapper)
+    return calls
 
-    counted(backlund, "sigma_of")       # the walk's; suite_jmo calls suites.sigma_of
-    counted(backlund, "sigma_square")
-    counted(backlund.SquareSweep, "bilinear_sides")
+
+def test_shared_walk_computes_each_sigma_and_residual_once(fresh, monkeypatch):
+    calls = _count_calls(monkeypatch, (backlund, "sigma_of"), (backlund, "sigma_square"),
+                         (backlund.SquareSweep, "bilinear_sides"))
     table = fresh("r2")
     assert len(table.nonzero_points()) == 181
     reports = run_suites(table, DEFAULT, configurations=False)
     assert all(r.passed for r in reports)
-    # 181 nonzero points; 3,840 squares on 1,920 point sets, 1,332 of them
-    # of four nonzero taus on 666 sets: each set's polynomials are computed
+    # 3,840 squares on 1,920 point sets: each set's polynomials are computed
     # once, by the square of (i, j, k) with i < k, although its mirror square
-    # of (k, j, i) and the suites sigma-backlund and f4 all read them
-    assert calls == {"sigma_of": 181, "sigma_square": 666, "bilinear_sides": 1920}
+    # of (k, j, i) and the suites sigma-backlund and f4 all read them.  The
+    # walk computes no sigma: R is a multiple of the Wronskian of the sides
+    # (suite_jmo calls suites.sigma_of, not counted here)
+    assert calls == {"sigma_of": 0, "sigma_square": 0, "bilinear_sides": 1920}
     checks = {r.name: r.checks for r in reports}
     assert (checks["bilinear"], checks["sigma-backlund"], checks["f4"]) == (6150, 2664, 1663)
+
+
+@pytest.mark.parametrize("name, sides", [("no-sign-matches", 128), ("product-zero", 64),
+                                         ("base-dependent", 1472)])
+def test_a_failed_calibration_stops_a_lone_bilinear_walk(fresh, monkeypatch, name, sides):
+    """Once calibration fails, bilinear ignores every later move, so a walk
+    for bilinear alone stops at the failing move (64 squares of r2 per
+    move); a walk that also serves sigma-backlund goes on to the end."""
+    calls = _count_calls(monkeypatch, (backlund.SquareSweep, "bilinear_sides"))
+    report = run_suites(fresh(name), ["bilinear"], configurations=False)[0]
+    assert ERRORS[name] in report.failures[0]["error"] and report.checks == 1
+    assert calls == {"bilinear_sides": sides}
+    run_suites(fresh(name), ["bilinear", "sigma-backlund"], configurations=False)
+    assert calls == {"bilinear_sides": sides + 1920}
 
 
 def test_one_perturbed_point_fails_every_square_suite_of_a_shared_walk(table2):
