@@ -495,9 +495,9 @@ def sigma_residual_of_sides(m: MoveIJK, taus, L: LaurentPoly, P: LaurentPoly) ->
 class Square(NamedTuple):
     """One move square of a walk: its corners `taus` (Ta, Tik, Tij, Tjk), its
     bilinear `sides` (L, P), their `difference` L - eps P with the closed-form
-    sign, and the sigma-square `residual` R when the walk computes it and all
-    four taus are nonzero, else None; None too where K vanishes, which is
-    exactly where L = 0 (sigma_residual_of_sides)."""
+    sign, and the sigma-square `residual` R when all four taus are nonzero,
+    else None; None too where K vanishes, which is exactly where L = 0
+    (sigma_residual_of_sides)."""
 
     taus: tuple
     sides: tuple
@@ -519,10 +519,9 @@ class SquareSweep:
     suite (bilinear, sigma-backlund, f4) and calibrate_eps read.  It computes
     each polynomial they share once: the bilinear_edge terms per edge
     (a, ik), dropped whenever the move's i changes, and per square its
-    bilinear sides (L, P), L - eps P and, when asked, its sigma-square
-    residual R.  R needs no sigma: it is zero where L = eps P and formed
-    from the Wronskian L' P - L P' (sigma_residual_of_sides) on a failing
-    square only; it is degenerate exactly where L = 0.
+    bilinear sides (L, P), L - eps P and its sigma-square residual R, with
+    no sigma: R is zero where L = eps P, degenerate exactly where L = 0, and
+    formed from the Wronskian L' P - L P' (sigma_residual_of_sides) else.
 
     The square of (i, j, k) at a and the square of (k, j, i) at a + d_i - d_k
     hold the same four points.  Only the first, i < k, is computed; it is
@@ -533,11 +532,10 @@ class SquareSweep:
         self.table, self.index = table, PointIndex(table)
         self._edges, self._i = {}, None
 
-    def moves(self, residuals: bool = True):
+    def moves(self):
         """(m, squares) for every move in all_moves() order, squares being
         the Square of each of its configurations, bases in table.points()
-        order; R is computed when `residuals`.  A square of a move with i > k
-        is its twin's, mirrored."""
+        order.  A square of a move with i > k is its twin's, mirrored."""
         twins = {}     # mirror move -> {mirror's base point: twin Square}
         for m in all_moves():
             mirrored = twins.pop((m.i, m.j, m.k), {})
@@ -553,7 +551,7 @@ class SquareSweep:
                 L, P = sides = self.bilinear_sides(m, taus)
                 difference = L - P if closed == 1 else L + P
                 R = None
-                if residuals and not L.is_zero() and not any(tau.is_zero() for tau in taus):
+                if not L.is_zero() and not any(tau.is_zero() for tau in taus):
                     # L = eps P makes the Wronskian, and so R, zero
                     R = (difference if difference.is_zero()
                          else sigma_residual_of_sides(m, taus, L, P))
@@ -622,4 +620,4 @@ def calibrate_eps(table: TauTable) -> EpsTable:
     table (no configuration with a nonzero right side) InsufficientData.
     """
     return EpsTable({(m.i, m.j, m.k): move_sign(m, squares)
-                     for m, squares in SquareSweep(table).moves(residuals=False)})
+                     for m, squares in SquareSweep(table).moves()})

@@ -43,16 +43,13 @@ def _table_payload(table: TauTable) -> dict:
     }
 
 
-def _write(text: str, path: str | None) -> None:
+def _dump_json(payload, path: str | None) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if path:
         with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _dump_json(payload, path: str | None) -> None:
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", path)
 
 
 def _dump_csv(table: TauTable, path: str | None) -> None:
@@ -63,7 +60,12 @@ def _dump_csv(table: TauTable, path: str | None) -> None:
         tau = table.entries[p]
         writer.writerow(list(p.alpha) + [tau.weight, tau.T.min_degree,
                                          " ".join(tau.T.to_json()["coeffs"])])
-    _write(buf.getvalue(), path)
+    text = buf.getvalue()
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def load_table(path: str) -> TauTable:

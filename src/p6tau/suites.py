@@ -147,7 +147,7 @@ class _Bilinear:
     checked with the closed-form sign.  Any other calibration failure
     replaces the whole report, with calibrate_eps's error, and ends the suite."""
 
-    residuals = done = False
+    done = False
 
     def __init__(self, sweep: SquareSweep, configurations: bool):
         self.rep = SuiteReport("bilinear", keep=configurations)
@@ -203,7 +203,7 @@ class _SigmaBacklund:
     when L = 0, and R is a multiple of the Wronskian of the bilinear sides
     (backlund.sigma_residual_of_sides)."""
 
-    residuals, done = True, False
+    done = False
 
     def __init__(self, sweep: SquareSweep, configurations: bool):
         self.rep = SuiteReport("sigma-backlund", keep=configurations)
@@ -249,7 +249,7 @@ class _F4:
     record that every point of the table was mapped.
     """
 
-    residuals, done = True, False
+    done = False
 
     def __init__(self, sweep: SquareSweep, configurations: bool):
         self.rep = rep = SuiteReport("f4", keep=configurations)
@@ -315,7 +315,7 @@ class SquarePass:
         if self.size != len(self.table):
             sweep = SquareSweep(self.table)
             suites = [SQUARE_SUITES[n](sweep, self.configurations) for n in self.names]
-            for m, squares in sweep.moves(residuals=any(s.residuals for s in suites)):
+            for m, squares in sweep.moves():
                 for suite in suites:
                     suite.move(m, squares)
                 if all(suite.done for suite in suites):

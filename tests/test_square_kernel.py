@@ -93,7 +93,7 @@ def _or_degenerate(fn, *args):
 def test_bilinear_sides_match_the_residual_square_by_square(table):
     _, table = table
     squares = 0
-    for m, move_squares in SquareSweep(table).moves(residuals=False):
+    for m, move_squares in SquareSweep(table).moves():
         for square in move_squares:
             lhs, rhs = square.sides
             for eps in (1, -1):
